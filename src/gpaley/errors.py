@@ -51,3 +51,7 @@ class ShapeMismatch(GPaleyError):
 
 class MismatchAgainstPaper(GPaleyError):
     """A reproduced search disagrees with the published bound or witness."""
+
+
+class CrossCheckMismatch(GPaleyError):
+    """An independent route or the naive oracle disagrees with a search count."""

@@ -1,10 +1,20 @@
-"""Deterministic construction of GF(p^r) with full exp/log tables.
+"""Deterministic construction of GF(p^r) with exp, log and Zech tables.
 
 Elements are plain ints in [0, q): the base-p digit vector of the polynomial
 representative packed into a single index (0 is the zero element, 1 is the
-multiplicative identity).  All multiplicative structure goes through the
-discrete-log tables, so arithmetic is O(1) after construction and every run
-of the same (p, r) produces byte-identical tables.
+multiplicative identity).  Digits are used only while the tables are built;
+after that all arithmetic is table lookups:
+
+  exp_table[n]   omega^n, for n in [0, q-1)
+  log_table[a]   ind(a), the discrete log of a nonzero a
+  zech_table[n]  ind(omega^n + 1), or -1 where omega^n = -1
+
+Zech's logarithm adds in prime and extension fields alike:
+a + b = omega^(ind a + Z[ind b - ind a]), and -b = omega^(ind b + ind(-1)).
+``FieldContext.log_sub`` applies the same identity to broadcast numpy arrays
+of logs; it is the one vectorized subtraction the other layers use, on grids
+that ``row_blocks`` cuts to a fixed number of cells.  Every run of the same
+(p, r) produces byte-identical tables.
 """
 
 from __future__ import annotations
@@ -17,6 +27,8 @@ import numpy as np
 from .errors import CompositeP, InvalidCongruence, SizeLimit, ZeroInput
 
 DEFAULT_SIZE_LIMIT = 1 << 24
+EXP_BLOCK = 1 << 12          # digit vectors held at once while building exp_table
+BLOCK_ELEMENTS = 1 << 20     # cells per row block of a vectorized pairwise pass
 
 
 def is_prime(n: int) -> bool:
@@ -132,12 +144,7 @@ def _smallest_irreducible(p: int, r: int) -> list[int]:
     """First monic degree-r irreducible when the lower coefficients are read
     as a base-p integer (so x^4+x+1 for p=2, r=4)."""
     for m in range(p ** r):
-        coeffs = []
-        v = m
-        for _ in range(r):
-            coeffs.append(v % p)
-            v //= p
-        f = coeffs + [1]
+        f = _coeffs(m, p, r) + [1]
         if _is_irreducible(f, p):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -158,33 +165,25 @@ class FieldContext:
     primitive_index: int
     exp_table: list[int] = field(repr=False)
     log_table: list[int] = field(repr=False)
+    zech_table: list[int] = field(repr=False)   # ind(omega^n + 1), -1 at omega^n = -1
+    log_neg_one: int = field(repr=False)        # ind(-1): (q-1)/2, or 0 when p = 2
+    np_log: np.ndarray = field(repr=False)      # the tables again as int64 arrays,
+    np_zech: np.ndarray = field(repr=False)     # for the vectorized passes
     _caches: dict = field(default_factory=dict, repr=False)
 
     # -- element arithmetic ------------------------------------------------
 
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.r):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _pack(self, digits: list[int]) -> int:
-        out = 0
-        for d in reversed(digits):
-            out = out * self.p + d
-        return out
-
     def add(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._pack([(x + y) % self.p for x, y in zip(da, db)])
+        if a == 0 or b == 0:
+            return a or b
+        la = self.log_table[a]
+        z = self.zech_table[(self.log_table[b] - la) % (self.q - 1)]
+        return 0 if z < 0 else self.exp_table[(la + z) % (self.q - 1)]
 
     def neg(self, a: int) -> int:
-        if self.r == 1:
-            return (-a) % self.p
-        return self._pack([(-x) % self.p for x in self._digits(a)])
+        if a == 0:
+            return 0
+        return self.exp_table[(self.log_table[a] + self.log_neg_one) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -213,65 +212,22 @@ class FieldContext:
         """Embed the rational integer n via the prime subfield."""
         return n % self.p
 
-    # -- vectorized helpers (used by the graph and hypergeometric layers) ---
+    # -- the vectorized difference kernel ---------------------------------
 
-    @property
-    def np_log(self) -> np.ndarray:
-        """log table as int64 with -1 at index 0."""
-        if "np_log" not in self._caches:
-            full = np.array(self.log_table, dtype=np.int64)
-            full[0] = -1
-            self._caches["np_log"] = full
-        return self._caches["np_log"]
-
-    @property
-    def np_exp(self) -> np.ndarray:
-        if "np_exp" not in self._caches:
-            self._caches["np_exp"] = np.array(self.exp_table, dtype=np.int64)
-        return self._caches["np_exp"]
-
-    @property
-    def _digit_matrix(self) -> np.ndarray:
-        if "digits" not in self._caches:
-            idx = np.arange(self.q, dtype=np.int64)
-            cols = []
-            for _ in range(self.r):
-                cols.append(idx % self.p)
-                idx = idx // self.p
-            self._caches["digits"] = np.stack(cols, axis=1)
-        return self._caches["digits"]
-
-    @property
-    def _p_powers(self) -> np.ndarray:
-        if "ppow" not in self._caches:
-            self._caches["ppow"] = np.array(
-                [self.p ** i for i in range(self.r)], dtype=np.int64
-            )
-        return self._caches["ppow"]
-
-    def sub_vec(self, a: int, bs: np.ndarray) -> np.ndarray:
-        """Indices of a - b for every b in bs."""
-        if self.r == 1:
-            return (a - bs) % self.p
-        d = (self._digit_matrix[a] - self._digit_matrix[bs]) % self.p
-        return d @ self._p_powers
-
-    def sub_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Matrix of x - y indices for x in xs, y in ys."""
-        if self.r == 1:
-            return (xs[:, None] - ys[None, :]) % self.p
-        d = (self._digit_matrix[xs][:, None, :] - self._digit_matrix[ys][None, :, :]) % self.p
-        return d @ self._p_powers
-
-    def mul_vec(self, a: int, bs: np.ndarray) -> np.ndarray:
-        """Indices of a * b for every b in bs (a nonzero; zeros in bs map to 0)."""
-        if a == 0:
-            return np.zeros(len(bs), dtype=np.int64)
-        out = np.zeros(len(bs), dtype=np.int64)
-        nz = bs != 0
-        la = self.log_table[a]
-        out[nz] = self.np_exp[(la + self.np_log[bs[nz]]) % (self.q - 1)]
-        return out
+    def log_sub(self, la, lb) -> np.ndarray:
+        """ind(a - b) from la = ind(a) and lb = ind(b) of nonzero a and b,
+        -1 where a = b.  la and lb are logs in [0, q-1), ints or integer
+        arrays broadcast against each other (at least one an array):
+        a - b = a (1 + omega^(ind b - ind a + ind(-1))), so every difference
+        is one Zech lookup."""
+        n = self.q - 1
+        # the index lies in (-n, n), where numpy's negative indexing reads
+        # the table cyclically; this avoids a modulo over the whole grid
+        z = self.np_zech[(lb + self.log_neg_one) % n - la]
+        d = la + z
+        d[d >= n] -= n
+        d[z < 0] = -1
+        return d
 
     def record(self) -> dict:
         """Construction record embedded in every JSON output."""
@@ -284,23 +240,30 @@ class FieldContext:
         }
 
 
+def row_blocks(n_rows: int, n_cols: int):
+    """Consecutive row slices of an n_rows x n_cols grid holding at most
+    BLOCK_ELEMENTS cells each (always at least one row)."""
+    step = max(1, BLOCK_ELEMENTS // max(1, n_cols))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def _coeffs(a: int, p: int, r: int) -> list[int]:
+    """The r base-p digits of a packed index, low degree first."""
+    out = []
+    for _ in range(r):
+        a, d = divmod(a, p)
+        out.append(d)
+    return out
+
+
 def _raw_mul(a: int, b: int, ctx_p: int, ctx_r: int, modulus: list[int]) -> int:
     """Table-free multiplication used while bootstrapping the tables."""
     if ctx_r == 1:
         return (a * b) % ctx_p
-    da = []
-    for _ in range(ctx_r):
-        da.append(a % ctx_p)
-        a //= ctx_p
-    db = []
-    for _ in range(ctx_r):
-        db.append(b % ctx_p)
-        b //= ctx_p
-    prod = _poly_mul_mod(da, db, modulus, ctx_p)
-    out = 0
-    for d in reversed(range(ctx_r)):
-        out = out * ctx_p + (prod[d] if d < len(prod) else 0)
-    return out
+    prod = _poly_mul_mod(_coeffs(a, ctx_p, ctx_r), _coeffs(b, ctx_p, ctx_r),
+                         modulus, ctx_p)
+    return sum(c * ctx_p ** i for i, c in enumerate(prod))
 
 
 def _element_order_is_maximal(g: int, p: int, r: int, q: int,
@@ -316,6 +279,29 @@ def _element_order_is_maximal(g: int, p: int, r: int, q: int,
         if acc == 1:
             return False
     return True
+
+
+def _exp_table(p: int, r: int, modulus: list[int], omega: int) -> np.ndarray:
+    """omega^j for j in [0, q-1) as packed indices.
+
+    Multiplication by omega^B is an F_p-linear map on digit vectors.  Its
+    matrix is squared while the first block of powers doubles to B rows;
+    after that each block of B digit vectors times the matrix is the next
+    block, and every block is packed as soon as it is made."""
+    n = p ** r - 1
+    step = np.array([_coeffs(_raw_mul(p ** i, omega, p, r, modulus), p, r)
+                     for i in range(r)], dtype=np.int64)     # row i: x^i * omega
+    place = p ** np.arange(r, dtype=np.int64)
+    block = np.zeros((1, r), dtype=np.int64)
+    block[0, 0] = 1
+    while len(block) < min(EXP_BLOCK, n):
+        block = np.vstack([block, block @ step % p])
+        step = step @ step % p
+    packed = [block @ place]
+    while len(packed) * len(block) < n:
+        block = block @ step % p
+        packed.append(block @ place)
+    return np.concatenate(packed)[:n]
 
 
 def build_field(p: int, r: int, *, size_limit: int = DEFAULT_SIZE_LIMIT,
@@ -348,32 +334,38 @@ def build_field(p: int, r: int, *, size_limit: int = DEFAULT_SIZE_LIMIT,
         raise ValueError(f"GF({q}) has no second generator")
     omega = generators[-1]
 
-    exp_table = [0] * (q - 1)
-    log_table = [0] * q
-    x = 1
-    for j in range(q - 1):
-        exp_table[j] = x
-        log_table[x] = j
-        x = _raw_mul(x, omega, p, r, modulus)
-    assert x == 1, "generator order mismatch"
+    exp = _exp_table(p, r, modulus, omega)
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    # adding 1 changes only the constant digit of a packed index
+    plus_one = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
+    zech = np.where(plus_one == 0, -1, log[plus_one])
 
     return FieldContext(
         p=p, r=r, q=q,
         modulus=tuple(modulus),
         primitive_index=omega,
-        exp_table=exp_table,
-        log_table=log_table,
+        exp_table=exp.tolist(),
+        log_table=log.tolist(),
+        zech_table=zech.tolist(),
+        log_neg_one=int(log[p - 1]),
+        np_log=log,
+        np_zech=zech,
     )
 
 
-def validate_paley_params(k: int, ctx: FieldContext) -> None:
+def paley_congruence(k: int, q: int) -> bool:
     """q = 1 (mod k) for even q, q = 1 (mod 2k) for odd q; this is exactly
-    the condition making -1 a k-th power, so the graph is undirected."""
+    the condition making -1 a k-th power, so G_k(q) is undirected."""
+    return q % (k if q % 2 == 0 else 2 * k) == 1
+
+
+def validate_paley_params(k: int, ctx: FieldContext) -> None:
     if k < 2:
         raise InvalidCongruence(f"k={k} must be at least 2")
     q = ctx.q
-    modulus = k if q % 2 == 0 else 2 * k
-    if q % modulus != 1:
+    if not paley_congruence(k, q):
+        modulus = k if q % 2 == 0 else 2 * k
         raise InvalidCongruence(f"q={q} is not 1 mod {modulus} (k={k})")
 
 

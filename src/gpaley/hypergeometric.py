@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 import numpy as np
 
 from .characters import MultChar, canonical_char
 from .cyclotomic import CycInt
 from .errors import ShapeMismatch
-from .finite_field import FieldContext
+from .finite_field import FieldContext, row_blocks
 from .jacobi import binom_symbol_scaled
 
 HIST_K_CAP = 8   # conductors above this skip the cached lambda=1 histogram
@@ -38,14 +38,10 @@ class ScaledHypValue:
     scale_power: int      # stored value equals q**scale_power times the function
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def _conductor(chars) -> int:
     c = 1
     for ch in chars:
-        c = _lcm(c, ch.order)
+        c = lcm(c, ch.order)
     return c
 
 
@@ -65,14 +61,12 @@ def f21_scaled(A: MultChar, B: MultChar, C: MultChar, lam: int,
     x1 = (A * C.conj()).exponent_in(c)
     x2 = (B.conj() * C).exponent_in(c)
     x3 = A.conj().exponent_in(c)
-    q, one = ctx.q, 1
-    bs = np.arange(q, dtype=np.int64)
-    omb = ctx.sub_vec(one, bs)
-    bml = ctx.sub_outer(bs, np.array([lam], dtype=np.int64))[:, 0]
-    valid = (bs != 0) & (omb != 0) & (bml != 0)
-    log = ctx.np_log
-    e = (x1 * log[bs] + x2 * log[omb] + x3 * log[bml]) % c
-    counts = np.bincount(e[valid], minlength=c)
+    n = np.arange(ctx.q - 1)                   # b = omega^n
+    l_omb = ctx.log_sub(0, n)                  # ind(1 - b)
+    l_bml = ctx.log_sub(n, ctx.dlog(lam))      # ind(b - lam)
+    valid = (l_omb >= 0) & (l_bml >= 0)
+    e = (x1 * n + x2 * l_omb + x3 * l_bml)[valid] % c
+    counts = np.bincount(e, minlength=c)
     return ScaledHypValue(CycInt.from_zeta_counts(c, counts.tolist()), 1)
 
 
@@ -88,23 +82,15 @@ def f32_scaled(A: MultChar, B: MultChar, C: MultChar, D: MultChar, E: MultChar,
     x3 = B.exponent_in(c)
     x4 = (B.conj() * D).exponent_in(c)
     x5 = A.conj().exponent_in(c)
-    q, one = ctx.q, 1
-    log = ctx.np_log
-    bs = np.arange(q, dtype=np.int64)
-    bm1 = ctx.sub_outer(bs, np.array([one], dtype=np.int64))[:, 0]
-    lam_b = ctx.mul_vec(lam, bs)
-    b_valid = (bs != 0) & (bm1 != 0)
-    e_b = x3 * log[bs] + x4 * log[bm1]
+    n = np.arange(1, ctx.q - 1)                # a, b = omega^n run over F_q \ {0, 1}
+    row = x1 * n + x2 * ctx.log_sub(0, n)      # ind(a), ind(1 - a)
+    col = x3 * n + x4 * ctx.log_sub(n, 0)      # ind(b), ind(b - 1)
+    l_lamb = (ctx.dlog(lam) + n) % (ctx.q - 1)
     counts = np.zeros(c, dtype=np.int64)
-    for a in range(1, q):
-        oma = ctx.sub(one, a)
-        if oma == 0:
-            continue
-        base = x1 * ctx.log_table[a] + x2 * ctx.log_table[oma]
-        amlb = ctx.sub_vec(a, lam_b)
-        valid = b_valid & (amlb != 0)
-        e = (base + e_b + x5 * log[amlb]) % c
-        counts += np.bincount(e[valid], minlength=c)
+    for blk in row_blocks(len(n), len(n)):
+        d = ctx.log_sub(n[blk, None], l_lamb[None, :])    # ind(a - lam b)
+        e = (row[blk, None] + col[None, :] + x5 * d) % c
+        counts += np.bincount(e[d >= 0], minlength=c)
     return ScaledHypValue(CycInt.from_zeta_counts(c, counts.tolist()), 2)
 
 
@@ -126,28 +112,14 @@ def residue_histogram(ctx: FieldContext, k: int) -> np.ndarray:
     key = ("f32hist", k)
     if key in ctx._caches:
         return ctx._caches[key]
-    q, one = ctx.q, 1
-    rho = ctx.np_log % k
-    bs = np.arange(q, dtype=np.int64)
-    bm1 = ctx.sub_outer(bs, np.array([one], dtype=np.int64))[:, 0]
-    b_valid = (bs != 0) & (bm1 != 0)
-    i34 = rho[bs] * k + rho[bm1]
+    n = np.arange(1, ctx.q - 1)                # a, b = omega^n run over F_q \ {0, 1}
+    head = (n % k * k + ctx.log_sub(0, n) % k) * k ** 3     # rho(a), rho(1 - a)
+    mid = (n % k * k + ctx.log_sub(n, 0) % k) * k           # rho(b), rho(b - 1)
     hist = np.zeros(k ** 5, dtype=np.int64)
-    parts = []
-    for a in range(1, q):
-        oma = ctx.sub(one, a)
-        if oma == 0:
-            continue
-        head = (rho[a] * k + rho[oma]) * k * k
-        amb = ctx.sub_vec(a, bs)
-        valid = b_valid & (amb != 0)
-        flat = (head + i34) * k + rho[amb]
-        parts.append(flat[valid])
-        if len(parts) >= 256:        # bound peak memory on large fields
-            hist += np.bincount(np.concatenate(parts), minlength=k ** 5)
-            parts = []
-    if parts:
-        hist += np.bincount(np.concatenate(parts), minlength=k ** 5)
+    for blk in row_blocks(len(n), len(n)):
+        d = ctx.log_sub(n[blk, None], n[None, :])           # ind(a - b)
+        flat = head[blk, None] + mid[None, :] + d % k
+        hist += np.bincount(flat[d >= 0], minlength=k ** 5)
     ctx._caches[key] = hist
     return hist
 
@@ -315,10 +287,8 @@ def _numeric_tables(ctx: FieldContext):
     if "numeric" not in ctx._caches:
         q = ctx.q
         roots = np.exp(2j * np.pi * np.arange(q - 1) / (q - 1))
-        one = 1
-        a_vals = np.array([a for a in range(2, q)], dtype=np.int64)  # skip 0, 1
-        log_a = ctx.np_log[a_vals]
-        log_1ma = ctx.np_log[np.array([ctx.sub(one, int(a)) for a in a_vals], dtype=np.int64)]
+        log_a = ctx.np_log[2:]                 # skip the elements 0 and 1
+        log_1ma = ctx.log_sub(0, log_a)
         ctx._caches["numeric"] = (roots, log_a, log_1ma, {})
     return ctx._caches["numeric"]
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonIntegerResult, SizeLimit
-from .finite_field import FieldContext, validate_paley_params
+from .finite_field import FieldContext, row_blocks, validate_paley_params
 from .hypergeometric import f32_full_grid_sum, f32_indexed
 from .jacobi import (EISENSTEIN, TWO_SQUARES, TWO_TIMES_SQUARE, R_k, S_k,
                      solve_quadform)
@@ -70,21 +70,23 @@ def build_graph(ctx: FieldContext, k: int) -> PaleyGraph:
 # bitmask adjacency and the naive clique oracle
 # ---------------------------------------------------------------------------
 
+def _pack_rows(adj: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int with bit j = column j."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def adjacency_rows(g: PaleyGraph) -> list[int]:
     """Row a = bitmask of neighbors of a (vertices are element indices)."""
     ctx, q = g.ctx, g.q
-    if ctx.r == 1:
-        base = 0
-        for s in g.S:
-            base |= 1 << s
-        full = (1 << q) - 1
-        return [((base << a) | (base >> (q - a))) & full for a in range(q)]
-    rows = [0] * q
-    for a in range(q):
-        row = 0
-        for s in g.S:
-            row |= 1 << ctx.add(a, s)
-        rows[a] = row
+    log = ctx.np_log[1:]
+    rows = _pack_rows(g.in_S[None, :])        # 0 - b = -b, and -1 is in S
+    for blk in row_blocks(q - 1, q):
+        d = ctx.log_sub(log[blk, None], log[None, :])
+        adj = np.empty((len(d), q), dtype=bool)
+        adj[:, 0] = g.in_S[1:][blk]           # a - 0 = a
+        adj[:, 1:] = (d >= 0) & (d % g.k == 0)
+        rows += _pack_rows(adj)
     return rows
 
 
@@ -133,54 +135,72 @@ def brute_force_K(g: PaleyGraph, m: int, cap: int | None = None) -> CliqueCountR
 # the subgraphs H (on S_k) and H1 (neighbors of 1 inside H)
 # ---------------------------------------------------------------------------
 
-def build_H(g: PaleyGraph):
-    verts = list(g.S)
-    edges = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]
-             if g.in_S[g.ctx.sub(a, b)]]
-    return verts, edges
+def _difference_table(g: PaleyGraph) -> np.ndarray:
+    """T[t] = (omega^(kt) - 1 in S) for t in [0, |S|).
+
+    For a = omega^(ki) and b = omega^(kj) in S, a - b = -a (omega^(k(j-i)) - 1)
+    with a and -1 in S, so a ~ b exactly when T[(j - i) mod |S|].  As
+    |j - i| < |S|, numpy's negative indexing reads T[j - i] as exactly
+    that.  T is symmetric (T[t] = T[-t]) and T[0] is False."""
+    d = g.ctx.log_sub(g.k * np.arange(len(g.S)), 0)
+    return (d >= 0) & (d % g.k == 0)
 
 
 def h1_vertices(g: PaleyGraph) -> list[int]:
-    ctx = g.ctx
-    return [a for a in g.S if a != 1 and g.in_S[ctx.sub(a, 1)]]
+    """H1 = {a in S : a - 1 in S}; a = omega^(kt) is in it exactly when T[t]."""
+    exp = g.ctx.exp_table
+    return sorted(exp[g.k * int(t)] for t in np.flatnonzero(_difference_table(g)))
+
+
+def subgraph_masks(g: PaleyGraph, verts: list[int]) -> list[int]:
+    """Adjacency rows of the induced subgraph on verts (a subset of S),
+    reindexed 0..n-1."""
+    table = _difference_table(g)
+    t = g.ctx.np_log[np.asarray(verts, dtype=np.int64)] // g.k
+    rows: list[int] = []
+    for blk in row_blocks(len(t), len(t)):
+        rows += _pack_rows(table[t[None, :] - t[blk, None]])
+    return rows
+
+
+def _induced_edges(g: PaleyGraph, verts: list[int]) -> list[tuple[int, int]]:
+    rows = subgraph_masks(g, verts)
+    return [(a, verts[j]) for i, a in enumerate(verts)
+            for j in _iter_bits(rows[i]) if j > i]
+
+
+def build_H(g: PaleyGraph):
+    verts = list(g.S)
+    return verts, _induced_edges(g, verts)
 
 
 def build_H1(g: PaleyGraph):
     verts = h1_vertices(g)
-    edges = [(a, b) for i, a in enumerate(verts) for b in verts[i + 1:]
-             if g.in_S[g.ctx.sub(a, b)]]
-    return verts, edges
+    return verts, _induced_edges(g, verts)
 
 
-def subgraph_masks(g: PaleyGraph, verts: list[int]) -> list[int]:
-    """Adjacency rows of the induced subgraph on verts, reindexed 0..n-1."""
-    if not verts:
-        return []
-    arr = np.asarray(verts, dtype=np.int64)
-    adj = g.in_S[g.ctx.sub_outer(arr, arr)]
-    rows = []
-    for i in range(len(verts)):
-        row = 0
-        for j in np.nonzero(adj[i])[0]:
-            if j != i:
-                row |= 1 << int(j)
-        rows.append(row)
-    return rows
+def _edge_count(table: np.ndarray, t: np.ndarray) -> int:
+    """Edges among the vertices with sorted exponents t: pairs i < j with
+    T[t_j - t_i].  Each row block is compared with itself and the later
+    columns only, so at most BLOCK_ELEMENTS cells are held at a time."""
+    t = t.astype(np.int32)
+    twice = 0
+    for blk in row_blocks(len(t), len(t)):
+        hit = table[t[None, blk.start:] - t[blk, None]]
+        # the square part is symmetric with a False diagonal: count it once
+        square = hit[:, :blk.stop - blk.start]
+        twice += 2 * np.count_nonzero(hit) - np.count_nonzero(square)
+    return int(twice) // 2
 
 
 def h1_edge_count(g: PaleyGraph) -> int:
-    verts = h1_vertices(g)
-    if not verts:
-        return 0
-    arr = np.asarray(verts, dtype=np.int64)
-    adj = g.in_S[g.ctx.sub_outer(arr, arr)]
-    return int(np.triu(adj, k=1).sum())
+    table = _difference_table(g)
+    return _edge_count(table, np.flatnonzero(table))
 
 
 def h_edge_count(g: PaleyGraph) -> int:
-    arr = np.asarray(g.S, dtype=np.int64)
-    adj = g.in_S[g.ctx.sub_outer(arr, arr)]
-    return int(np.triu(adj, k=1).sum())
+    table = _difference_table(g)
+    return _edge_count(table, np.arange(len(table)))
 
 
 # ---------------------------------------------------------------------------

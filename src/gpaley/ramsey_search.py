@@ -19,8 +19,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import MismatchAgainstPaper
-from .finite_field import build_field, is_prime, split_prime_power
+from .errors import CrossCheckMismatch, MismatchAgainstPaper
+from .finite_field import (build_field, is_prime, paley_congruence,
+                           split_prime_power)
 from .paley_graph import (K3_ORACLE_CAP, K4_ORACLE_CAP, THM1_K_CAP, THM1_Q_CAP,
                           K3_closed, K3_corollary, K4_corollary,
                           K4_subgraph_method, K4_thm1, K4_thm2, brute_force_K,
@@ -50,8 +51,7 @@ def admissible_q(k: int, q_max: int) -> list[int]:
             continue
         q = p
         while q <= q_max:
-            modulus = k if q % 2 == 0 else 2 * k
-            if q % modulus == 1:
+            if paley_congruence(k, q):
                 out.append(q)
             q *= p
     return sorted(out)
@@ -117,27 +117,31 @@ def _load_cache(path: str) -> dict:
     if path and os.path.exists(path):
         with open(path) as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                out[(rec["k"], rec["q"], rec["m"])] = (
-                    int(rec["count"]), rec["method"], rec["field"])
+                try:
+                    rec = json.loads(line)
+                    out[(rec["k"], rec["q"], rec["m"])] = (
+                        int(rec["count"]), rec["method"], rec["field"])
+                except (ValueError, TypeError, KeyError):
+                    continue          # blank or torn line: that q is recomputed
     return out
 
 
 def _append_cache(path: str, k: int, m: int, fresh: list[SearchRecord]) -> None:
-    with open(path, "a") as fh:
-        for rec in fresh:
-            fh.write(json.dumps({
-                "k": k, "q": rec.q, "m": m, "count": str(rec.count),
-                "method": rec.method, "field": rec.field,
-            }) + "\n")
+    text = "".join(json.dumps({
+        "k": k, "q": rec.q, "m": m, "count": str(rec.count),
+        "method": rec.method, "field": rec.field,
+    }) + "\n" for rec in fresh)
+    with open(path, "ab+") as fh:
+        if fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":       # a torn last line: start a new one
+                fh.write(b"\n")
+        fh.write(text.encode())
 
 
 def _require(ok: bool, message: str) -> None:
     if not ok:
-        raise RuntimeError(message)
+        raise CrossCheckMismatch(message)
 
 
 def _cross_check(k: int, m: int, qs: list[int], counts: dict[int, int],

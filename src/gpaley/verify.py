@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .characters import MultChar, canonical_char, trivial_char
 from .cyclotomic import CycInt
-from .finite_field import build_field, split_prime_power
+from .finite_field import build_field, paley_congruence, split_prime_power
 from .hypergeometric import (check_reduction, check_transformation,
                              f21_definitional_numeric, f21_scaled,
                              f32_definitional_numeric, f32_full_grid_sum,
@@ -63,10 +63,7 @@ def valid_pairs(q_limit: int, ks=(2, 3, 4, 5, 6), qs=None):
             split_prime_power(q)
         except ValueError:
             continue
-        for k in ks:
-            modulus = k if q % 2 == 0 else 2 * k
-            if q % modulus == 1:
-                out.append((k, q))
+        out += [(k, q) for k in ks if paley_congruence(k, q)]
     return out
 
 

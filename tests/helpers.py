@@ -1,27 +1,5 @@
-"""Shared test utilities: a process-wide field cache and small oracles."""
+"""Shared test utilities: the package's field cache and Paley pair list."""
 
-from gpaley.finite_field import build_field, split_prime_power
+from gpaley.verify import field_for as get_field, valid_pairs as paley_pairs
 
-_fields = {}
-
-
-def get_field(q, alt=False):
-    key = (q, alt)
-    if key not in _fields:
-        p, r = split_prime_power(q)
-        _fields[key] = build_field(p, r, alt_generator=alt)
-    return _fields[key]
-
-
-def paley_pairs(q_limit, ks=(2, 3, 4, 5, 6)):
-    """All valid (k, q) with q a prime power up to the limit."""
-    out = []
-    for q in range(3, q_limit + 1):
-        try:
-            split_prime_power(q)
-        except ValueError:
-            continue
-        for k in ks:
-            if q % (k if q % 2 == 0 else 2 * k) == 1:
-                out.append((k, q))
-    return out
+__all__ = ["get_field", "paley_pairs"]

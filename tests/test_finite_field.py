@@ -2,11 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from gpaley.errors import CompositeP, InvalidCongruence, SizeLimit, ZeroInput
-from gpaley.finite_field import (build_field, is_kth_power, is_prime,
-                                 kth_power_residues, split_prime_power,
+from gpaley.finite_field import (EXP_BLOCK, _raw_mul, build_field,
+                                 is_kth_power, is_prime, kth_power_residues,
+                                 paley_congruence, split_prime_power,
                                  validate_paley_params)
 from helpers import get_field, paley_pairs
 
@@ -83,6 +85,12 @@ def test_validate_paley_params():
     validate_paley_params(3, get_field(16))
     with pytest.raises(InvalidCongruence):
         validate_paley_params(4, get_field(13))
+
+
+def test_paley_congruence():
+    assert paley_congruence(2, 13) and paley_congruence(3, 16)
+    assert not paley_congruence(4, 13)      # odd q needs q = 1 mod 2k
+    assert not paley_congruence(2, 8)       # even q needs q = 1 mod k
 
 
 def test_dlog_via_repeated_multiplication():
@@ -189,12 +197,48 @@ def test_is_prime_small():
     assert [n for n in range(2, 25) if is_prime(n)] == primes
 
 
-def test_vectorized_subtraction_matches_scalar():
-    import numpy as np
-    for q in (13, 16, 27):
+def digit_add(ctx, a, b, sign=1):
+    """Reference a + sign*b: coefficient-wise over the base-p digits."""
+    out, place = 0, 1
+    for _ in range(ctx.r):
+        out += ((a % ctx.p + sign * (b % ctx.p)) % ctx.p) * place
+        a, b, place = a // ctx.p, b // ctx.p, place * ctx.p
+    return out
+
+
+@pytest.mark.parametrize("q", [13, 16, 25, 27, 49])
+@pytest.mark.parametrize("alt", [False, True])
+def test_zech_arithmetic_matches_digit_addition(q, alt):
+    ctx = get_field(q, alt=alt)
+    for a in range(q):
+        assert ctx.neg(a) == digit_add(ctx, 0, a, -1)
+        for b in range(q):
+            assert ctx.add(a, b) == digit_add(ctx, a, b)
+            assert ctx.sub(a, b) == digit_add(ctx, a, b, -1)
+    # the vectorized kernel on every pair of nonzero elements
+    logs = np.array([ctx.log_table[a] for a in range(1, q)])
+    diff = ctx.log_sub(logs[:, None], logs[None, :])
+    for a in range(1, q):
+        for b in range(1, q):
+            d = int(diff[a - 1, b - 1])
+            assert (0 if d < 0 else ctx.exp_table[d]) == digit_add(ctx, a, b, -1)
+
+
+@pytest.mark.parametrize("p, r", [(2, 14), (3, 8), (7, 5)])
+def test_blocked_exp_table_matches_sequential_recurrence(p, r):
+    ctx = build_field(p, r)
+    assert ctx.q - 1 > EXP_BLOCK            # several blocks are exercised
+    modulus = list(ctx.modulus)
+    x = 1
+    for j in range(ctx.q - 1):
+        assert ctx.exp_table[j] == x
+        x = _raw_mul(x, ctx.primitive_index, p, r, modulus)
+    assert x == 1
+
+
+def test_zech_table_definition():
+    for q in (2, 3, 16, 27, 49):
         ctx = get_field(q)
-        xs = np.arange(q, dtype=np.int64)
-        table = ctx.sub_outer(xs, xs)
-        for a in range(q):
-            for b in range(q):
-                assert table[a, b] == ctx.sub(a, b)
+        for n in range(q - 1):
+            total = digit_add(ctx, ctx.exp_table[n], 1)
+            assert ctx.zech_table[n] == (-1 if total == 0 else ctx.log_table[total])

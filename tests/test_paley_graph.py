@@ -8,7 +8,8 @@ from gpaley.paley_graph import (CliqueCountResult, K3_closed, K3_corollary,
                                 K4_corollary, K4_subgraph_method, K4_thm1,
                                 K4_thm2, _exact_div, adjacency_rows,
                                 brute_force_K, build_graph, build_H, build_H1,
-                                clique_count, count_cliques, h1_vertices)
+                                clique_count, count_cliques, h1_edge_count,
+                                h1_vertices, h_edge_count)
 from gpaley.verify import (check_clique_recursions, check_strong_regularity,
                            check_subgraph_props)
 from helpers import get_field, paley_pairs
@@ -175,3 +176,36 @@ def test_clique_recursions_full_grid():
 def test_strong_regularity():
     res = check_strong_regularity(q_limit=101)
     assert res.passed, res.detail
+
+
+# the H1 kernel holds at most 2^20 pair cells (about 5 MiB) per row block
+K4_SUBGRAPH_PEAK_BUDGET_MB = 16
+
+
+def test_K4_subgraph_memory_is_blocked():
+    import tracemalloc
+
+    g = build_graph(get_field(6561), 2)          # GF(3^8)
+    tracemalloc.start()
+    try:
+        count = K4_subgraph_method(g).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1202902531740
+    assert peak < K4_SUBGRAPH_PEAK_BUDGET_MB * 2 ** 20
+
+
+def test_K4_gf3_10_k2():
+    # the seed's dense sub_outer asked for 16.2 GiB here
+    assert clique_count(get_field(59049), 2, 4).count == 7912600177561200
+
+
+def test_h_and_h1_edge_counts_match_scalar_enumeration():
+    for k, q in paley_pairs(61):
+        g = build_graph(get_field(q), k)
+        for verts, count in ((list(g.S), h_edge_count(g)),
+                             (h1_vertices(g), h1_edge_count(g))):
+            edges = sum(g.in_S[g.ctx.sub(a, b)]
+                        for i, a in enumerate(verts) for b in verts[i + 1:])
+            assert type(count) is int and count == edges, (k, q)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gpaley.ramsey_search import (PAPER_BOUNDS, SearchReport, admissible_q,
                                   search_zeros)
 
@@ -118,3 +120,48 @@ def test_partial_report_on_per_q_error(monkeypatch):
     assert "synthetic failure" in rep.error
     assert [r.q for r in rep.records] == [5, 9]
     assert rep.to_json()["partial"] is True
+
+
+def _records(rep):
+    return [(r.q, r.count, r.method, r.field) for r in rep.records]
+
+
+def test_cache_with_truncated_last_line(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    search_zeros(3, 4, 100, cache_path=path)
+    with open(path) as fh:
+        text = fh.read()
+    last = text.rstrip("\n").rsplit("\n", 1)[1]
+    torn = text[:len(text) - len(last) // 2 - 1]        # cut the last record mid-line
+    with open(path, "w") as fh:
+        fh.write(torn)
+    rep = search_zeros(3, 4, 100, cache_path=path)
+    fresh = search_zeros(3, 4, 100)
+    assert _records(rep) == _records(fresh)
+    assert rep.zero_qs == fresh.zero_qs and rep.bound == fresh.bound
+    # the recomputed q went onto a line of its own: a third run hits the cache
+    with open(path) as fh:
+        n_lines = len(fh.readlines())
+    assert _records(search_zeros(3, 4, 100, cache_path=path)) == _records(fresh)
+    with open(path) as fh:
+        assert len(fh.readlines()) == n_lines
+
+
+def test_tampered_cache_count_raises_cross_check_mismatch(tmp_path):
+    from gpaley.errors import CrossCheckMismatch, GPaleyError
+    from gpaley.paley_graph import K4_ORACLE_CAP
+
+    path = str(tmp_path / "cache.jsonl")
+    rep = search_zeros(3, 4, 100, cache_path=path)
+    victim = next(r.q for r in rep.records if r.count > 0)
+    assert victim <= K4_ORACLE_CAP
+    with open(path) as fh:
+        lines = [json.loads(line) for line in fh]
+    for rec in lines:
+        if rec["q"] == victim:
+            rec["count"] = "0"
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(rec) + "\n" for rec in lines)
+    with pytest.raises(CrossCheckMismatch):
+        search_zeros(3, 4, 100, cache_path=path)
+    assert issubclass(CrossCheckMismatch, GPaleyError)
