@@ -1,44 +1,25 @@
 """The index set X_k, the order-24 transformation group, and Burnside counts.
 
-Maps on (Z_k)^5 are canonicalized by their full action table (k^5 entries,
-held as numpy arrays so composition is fancy indexing), which makes closure
-under composition and equality of maps unambiguous even when two affine
-forms collide as functions for small k.  Orbit representatives are
-lexicographic minima, keeping every table output deterministic.
+Every map is linear on (Z_k)^5 and is held as its 5x5 matrix mod k.  A
+linear map is fixed by the images of the unit vectors, so equal matrices
+mod k are equal maps, even when two words in the generators collide as
+functions for small k.  Orbits and fixed points are computed on one int16
+block of X_k per k.  Orbit representatives are lexicographic minima,
+keeping every table output deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from .errors import SizeLimit
 
-@lru_cache(maxsize=None)
-def _domain_vectors(k: int) -> np.ndarray:
-    """All of (Z_k)^5, row i = the digits of i written base k."""
-    grid = np.indices((k,) * 5).reshape(5, -1).T
-    return np.ascontiguousarray(grid.astype(np.int64))
-
-
-def _encode_rows(rows: np.ndarray, k: int) -> np.ndarray:
-    weights = np.array([k ** 4, k ** 3, k ** 2, k, 1], dtype=np.int64)
-    return rows @ weights
-
-
-def _encode(t, k: int) -> int:
-    return ((((t[0] * k + t[1]) * k + t[2]) * k + t[3]) * k + t[4])
-
-
-def _decode(i: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(5):
-        out.append(i % k)
-        i //= k
-    return tuple(reversed(out))
-
+# largest k^5 grid enumerated for X_k (k <= 16); it also keeps the sums of
+# AffineMap.apply on an int16 block, at most 5(k-1)^2, inside int16
+GRID_LIMIT = 1 << 20
 
 # column recipes for the seven generators; c[i] is the i-th input column
 _GEN_COLUMNS = {
@@ -55,26 +36,34 @@ _GEN_COLUMNS = {
 
 @dataclass(frozen=True, eq=False)
 class AffineMap:
-    """A map on (Z_k)^5 canonicalized by its full action table."""
+    """A linear map on (Z_k)^5 held as its 5x5 matrix mod k; equal
+    matrices mod k are equal maps, since a linear map is fixed by the
+    images of the unit vectors."""
     k: int
     name: str
-    table: np.ndarray = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
 
-    def apply(self, t) -> tuple[int, ...]:
-        return _decode(int(self.table[_encode(t, self.k)]), self.k)
+    def apply(self, t):
+        """Image of one tuple, or of every column of a (5, n) block.
+
+        A block keeps its dtype and is mapped by five exact multiply-add
+        passes, one per output coordinate, skipping zero entries."""
+        out = [sum(t[i] * c for i, c in enumerate(row) if c) % self.k
+               for row in self.matrix.tolist()]
+        return tuple(out) if isinstance(t, tuple) else np.stack(out)
 
     def compose(self, other: AffineMap) -> AffineMap:
         """self after other (standard composition order)."""
         assert self.k == other.k
         return AffineMap(self.k, f"{self.name}*{other.name}",
-                         self.table[other.table])
+                         self.matrix @ other.matrix % self.k)
 
     def key(self) -> bytes:
-        return self.table.tobytes()
+        return self.matrix.tobytes()
 
     def __eq__(self, other):
         return (isinstance(other, AffineMap) and self.k == other.k
-                and np.array_equal(self.table, other.table))
+                and self.key() == other.key())
 
     def __hash__(self):
         return hash((self.k, self.key()))
@@ -82,17 +71,16 @@ class AffineMap:
 
 @lru_cache(maxsize=None)
 def generators(k: int) -> dict:
-    """T1..T7 as action tables."""
-    cols = [_domain_vectors(k)[:, i] for i in range(5)]
-    out = {}
-    for name, recipe in _GEN_COLUMNS.items():
-        new = np.stack([c % k for c in recipe(cols)], axis=1)
-        out[name] = AffineMap(k, name, _encode_rows(new, k))
-    return out
+    """T1..T7 as matrices: each recipe applied to the unit vectors."""
+    if k < 2:
+        raise ValueError(f"the orbit layer needs k >= 2, got k={k}")
+    units = list(np.eye(5, dtype=np.int64))
+    return {name: AffineMap(k, name, np.stack(recipe(units)) % k)
+            for name, recipe in _GEN_COLUMNS.items()}
 
 
 def identity_map(k: int) -> AffineMap:
-    return AffineMap(k, "T0", np.arange(k ** 5, dtype=np.int64))
+    return AffineMap(k, "T0", np.eye(5, dtype=np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +100,7 @@ def generate_group(k: int) -> tuple[AffineMap, ...]:
                     seen[c.key()] = c
                     nxt.append(c)
         frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda m: m.key()))
+    return tuple(sorted(seen.values(), key=AffineMap.key))
 
 
 @lru_cache(maxsize=None)
@@ -142,23 +130,29 @@ def xk_closed_form(k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def build_Xk(k: int) -> tuple[tuple[int, ...], ...]:
-    """Index vectors with t1, t2, t3 distinct from 0, t4, t5 and
-    t1+t2+t3 != t4+t5 (mod k), in lexicographic order."""
-    out = []
-    for t in itertools.product(range(k), repeat=5):
-        if any(x in (0, t[3], t[4]) for x in t[:3]):
-            continue
-        if (t[0] + t[1] + t[2]) % k == (t[3] + t[4]) % k:
-            continue
-        out.append(t)
-    assert len(out) == xk_closed_form(k)
-    return tuple(out)
+def _xk_block(k: int) -> np.ndarray:
+    """X_k as the columns of a read-only (5, |X_k|) int16 block, in
+    lexicographic order."""
+    if k < 2:
+        raise ValueError(f"the orbit layer needs k >= 2, got k={k}")
+    if k ** 5 > GRID_LIMIT:
+        raise SizeLimit(f"X_k enumerates k^5 = {k ** 5} vectors, "
+                        f"over the cap {GRID_LIMIT} (k <= 16)")
+    t = np.indices((k,) * 5, dtype=np.int16).reshape(5, -1)
+    keep = (t[0] + t[1] + t[2] - t[3] - t[4]) % k != 0
+    for x in t[:3]:
+        keep &= (x != 0) & (x != t[3]) & (x != t[4])
+    block = t[:, keep]
+    assert block.shape[1] == xk_closed_form(k)
+    block.flags.writeable = False
+    return block
 
 
 @lru_cache(maxsize=None)
-def _xk_encoded(k: int) -> np.ndarray:
-    return np.array([_encode(t, k) for t in build_Xk(k)], dtype=np.int64)
+def build_Xk(k: int) -> tuple[tuple[int, ...], ...]:
+    """Index vectors with t1, t2, t3 distinct from 0, t4, t5 and
+    t1+t2+t3 != t4+t5 (mod k), in lexicographic order."""
+    return tuple(zip(*_xk_block(k).tolist()))
 
 
 @dataclass(frozen=True)
@@ -181,26 +175,29 @@ class OrbitDecomposition:
 
 @lru_cache(maxsize=None)
 def orbit_decompose(k: int) -> OrbitDecomposition:
+    """Orbits of the group on X_k.  A vector's representative is its
+    least image in lexicographic order; a stable sort by representative
+    lists each orbit in lexicographic order, representative first."""
     group = generate_group(k)
-    enc = _xk_encoded(k)
-    images = np.stack([g.table[enc] for g in group], axis=0)   # group x |X_k|
+    block, shape = _xk_block(k), (k,) * 5
+    rep = np.ravel_multi_index(block, shape)
     in_x = np.zeros(k ** 5, dtype=bool)
-    in_x[enc] = True
-    assert in_x[images].all(), "group does not preserve X_k"
-    seen = np.zeros(k ** 5, dtype=bool)
-    orbits = []
-    for i, code in enumerate(enc):
-        if seen[code]:
-            continue
-        orbit_codes = sorted(set(images[:, i].tolist()))
-        seen[orbit_codes] = True
-        orbits.append(tuple(_decode(c, k) for c in orbit_codes))
-    return OrbitDecomposition(k=k, group_order=len(group), orbits=tuple(orbits))
+    in_x[rep] = True
+    for g in group:
+        image = np.ravel_multi_index(g.apply(block), shape)
+        assert in_x[image].all(), "group does not preserve X_k"
+        rep = np.minimum(rep, image)
+    order = np.argsort(rep, kind="stable")
+    cuts = np.flatnonzero(np.diff(rep[order])) + 1
+    xk = build_Xk(k)
+    orbits = tuple(tuple(map(xk.__getitem__, part.tolist()))
+                   for part in np.split(order, cuts))
+    return OrbitDecomposition(k=k, group_order=len(group), orbits=orbits)
 
 
 def fixed_point_count(m: AffineMap, k: int) -> int:
-    enc = _xk_encoded(k)
-    return int((m.table[enc] == enc).sum())
+    block = _xk_block(k)
+    return int((m.apply(block) == block).all(axis=0).sum())
 
 
 def burnside_Nk(k: int) -> int:

@@ -181,18 +181,17 @@ def check_tables_and_burnside(k_enum_max: int = 12) -> CheckResult:
         if dec.n_orbits != burnside_Nk(k):
             failures.append(("burnside-vs-enumeration", k))
         named = named_composites(k)
-        total_fixed = sum(fixed_point_count(m, k) for m in named.values())
+        fixed = {name: fixed_point_count(m, k) for name, m in named.items()}
         instances += 1
-        if total_fixed != 24 * dec.n_orbits:
+        if sum(fixed.values()) != 24 * dec.n_orbits:
             failures.append(("burnside-sum", k))
         if k >= 3:
             instances += 1
             if len({m.key() for m in named.values()}) != 24 or dec.group_order != 24:
                 failures.append(("group-order", k))
-        forms = fixed_point_closed_forms(k)
-        for name, predicted in forms.items():
+        for name, predicted in fixed_point_closed_forms(k).items():
             instances += 1
-            if fixed_point_count(named[name], k) != predicted:
+            if fixed[name] != predicted:
                 failures.append(("fixed-form", k, name))
     return _result("tables and Burnside counts", failures, instances)
 

@@ -37,6 +37,14 @@ def test_orbits_subcommand(capsys):
     assert data["Xk_size"] == 93 and data["N_k"] == 11
 
 
+@pytest.mark.parametrize("k, error", [("0", "ValueError"), ("1", "ValueError"),
+                                      ("-3", "ValueError"), ("17", "SizeLimit")])
+def test_orbits_rejects_bad_k(capsys, k, error):
+    code, out, err = run_cli(capsys, "orbits", "--k", k)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == error
+
+
 def test_hyp_subcommand(capsys):
     code, out, _ = run_cli(capsys, "hyp", "--q", "127", "--k", "3", "--t", "1,1,2,0,0")
     data = json.loads(out)

@@ -1,13 +1,19 @@
 """X_k, the transformation group, orbits, and Burnside agreement."""
 
+import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from gpaley.orbits import (build_Xk, burnside_Nk, fixed_point_closed_forms,
-                           fixed_point_count, generate_group, generators,
-                           identity_map, named_composites, orbit_decompose,
-                           tables_json, xk_closed_form)
+from gpaley import orbits
+from gpaley.errors import SizeLimit
+from gpaley.orbits import (_GEN_COLUMNS, build_Xk, burnside_Nk,
+                           fixed_point_closed_forms, fixed_point_count,
+                           generate_group, generators, identity_map,
+                           named_composites, orbit_decompose, tables_json,
+                           xk_closed_form)
 
 TABLE_X = {2: 1, 3: 12, 4: 93, 5: 424, 6: 1425}
 TABLE_N = {2: 1, 3: 1, 4: 11, 5: 28, 6: 92}
@@ -126,3 +132,75 @@ def test_tables_json_shape():
     assert data["Xk_size"] == 93
     assert data["N_k"] == 11 == data["N_k_closed_form"]
     assert sum(o["size"] for o in data["orbit_reps_with_sizes"]) == 93
+
+
+def _reference_orbits(k):
+    """Orbits of X_k by breadth-first closure of each vector under the seven
+    generator recipes, in plain integers mod k."""
+    xk = [t for t in itertools.product(range(k), repeat=5)
+          if all(x not in (0, t[3], t[4]) for x in t[:3])
+          and (t[0] + t[1] + t[2] - t[3] - t[4]) % k]
+    seen, out = set(), []
+    for t in xk:
+        if t in seen:
+            continue
+        orbit, frontier = {t}, [t]
+        while frontier:
+            images = {tuple(x % k for x in recipe(u))
+                      for u in frontier for recipe in _GEN_COLUMNS.values()}
+            frontier = list(images - orbit)
+            orbit |= images
+        seen |= orbit
+        out.append(tuple(sorted(orbit)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_orbits_match_generator_closure(k):
+    assert orbit_decompose(k).orbits == _reference_orbits(k)
+
+
+def test_generator_matrices_match_recipes():
+    rng = random.Random(7)
+    for k in (2, 3, 5, 8, 12):
+        vectors = [tuple(rng.randrange(k) for _ in range(5)) for _ in range(40)]
+        block = np.array(vectors, dtype=np.int16).T
+        for name, recipe in _GEN_COLUMNS.items():
+            g = generators(k)[name]
+            expected = [tuple(x % k for x in recipe(t)) for t in vectors]
+            assert [g.apply(t) for t in vectors] == expected, (k, name)
+            assert list(zip(*g.apply(block).tolist())) == expected, (k, name)
+
+
+@pytest.mark.parametrize("k", (0, 1, -3))
+def test_k_below_two_is_rejected(k):
+    for fn in (build_Xk, generate_group, named_composites, orbit_decompose,
+               tables_json):
+        with pytest.raises(ValueError):
+            fn(k)
+
+
+def test_enumeration_grid_is_capped():
+    assert 16 ** 5 <= orbits.GRID_LIMIT < 17 ** 5
+    for fn in (build_Xk, orbit_decompose,
+               lambda k: fixed_point_count(identity_map(k), k)):
+        with pytest.raises(SizeLimit):
+            fn(17)
+
+
+ORBIT_PEAK_BUDGET_MB = 64
+
+
+def test_orbit_layer_memory_budget():
+    for cached in (orbits._xk_block, build_Xk, generators, generate_group,
+                   named_composites, orbit_decompose):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        dec = orbit_decompose(12)
+        counts = [fixed_point_count(m, 12) for m in named_composites(12).values()]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts) == 24 * dec.n_orbits
+    assert peak < ORBIT_PEAK_BUDGET_MB * 2 ** 20
