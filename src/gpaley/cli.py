@@ -22,8 +22,7 @@ from .hypergeometric import f32_indexed
 from .jacobi import (EISENSTEIN, J0, JJ0, TWO_SQUARES, TWO_TIMES_SQUARE, R_k,
                      S_k, solve_quadform)
 from .orbits import tables_json
-from .paley_graph import (THM1_Q_CAP, K4_thm1, brute_force_K, build_graph,
-                          clique_count)
+from .paley_graph import brute_force_K, build_graph, clique_count
 from .ramsey_search import CACHE_ENV, search_zeros
 from .verify import run_suite
 
@@ -31,7 +30,6 @@ from .verify import run_suite
 @dataclass
 class RunConfig:
     size_limit: int = DEFAULT_SIZE_LIMIT
-    thm1_q_cap: int = THM1_Q_CAP
     oracle_cap: int | None = None     # None keeps the per-order defaults
     jobs: int = 1
     cache_path: str | None = None
@@ -116,9 +114,7 @@ def cmd_hyp(args, cfg: RunConfig) -> int:
 
 def cmd_cliques(args, cfg: RunConfig) -> int:
     ctx = _field_for_q(args.q, cfg)
-    if args.method == "thm1" and args.m == 4:
-        res = K4_thm1(ctx, args.k, q_cap=cfg.thm1_q_cap)
-    elif args.method == "naive" and cfg.oracle_cap is not None:
+    if args.method == "naive" and cfg.oracle_cap is not None:
         res = brute_force_K(build_graph(ctx, args.k), args.m, cap=cfg.oracle_cap)
     else:
         res = clique_count(ctx, args.k, args.m, method=args.method)
@@ -158,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"results cache path (default from ${CACHE_ENV})")
     common.add_argument("--seed", type=int, default=746)
     common.add_argument("--field-cap", type=int, default=DEFAULT_SIZE_LIMIT)
-    common.add_argument("--thm1-cap", type=int, default=THM1_Q_CAP)
     common.add_argument("--oracle-cap", type=int, default=None)
 
     top = argparse.ArgumentParser(prog="gpaley", description=__doc__)
@@ -205,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", parents=[common],
                        help="identity and acceptance suites")
-    v.add_argument("--quick", action="store_true", default=True)
     v.add_argument("--paper", action="store_true",
                    help="full reproduction including searches (minutes)")
     v.set_defaults(func=cmd_verify)
@@ -217,7 +211,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = RunConfig(
         size_limit=args.field_cap,
-        thm1_q_cap=args.thm1_cap,
         oracle_cap=args.oracle_cap,
         jobs=args.jobs,
         cache_path=args.cache or os.environ.get(CACHE_ENV),

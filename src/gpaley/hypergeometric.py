@@ -25,11 +25,11 @@ import numpy as np
 
 from .characters import MultChar, canonical_char
 from .cyclotomic import CycInt
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, SizeLimit
 from .finite_field import FieldContext, row_blocks
 from .jacobi import binom_symbol_scaled
 
-HIST_K_CAP = 8   # conductors above this skip the cached lambda=1 histogram
+HIST_K_CAP = 8   # largest k whose k^5-bin lambda=1 histogram is built
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,8 @@ def residue_histogram(ctx: FieldContext, k: int) -> np.ndarray:
     """Counts of the residue pattern (rho(a), rho(1-a), rho(b), rho(b-1),
     rho(a-b)) over valid pairs, rho = dlog mod k.  One O(q^2) pass feeds
     every lambda=1 indexed 3F2 at this (q, k)."""
+    if k > HIST_K_CAP:
+        raise SizeLimit(f"k^5 histogram bins need k <= {HIST_K_CAP}, got k={k}")
     key = ("f32hist", k)
     if key in ctx._caches:
         return ctx._caches[key]
@@ -147,15 +149,11 @@ def f32_indexed(ctx: FieldContext, k: int, t, lam: int | None = None) -> ScaledH
 
 
 def f32_full_grid_sum(ctx: FieldContext, k: int) -> CycInt:
-    """Sum of q^2 * 3F2(t | 1) over every t in (Z_k)^5."""
-    hist = residue_histogram(ctx, k)
-    vecs = _index_vectors(k)
-    counts = [0] * k
-    for t in vecs:
-        e = (vecs @ _coef_vector(k, t)) % k
-        for v in range(k):
-            counts[v] += int(hist[e == v].sum())
-    return CycInt.from_zeta_counts(k, counts)
+    """Sum of q^2 * 3F2(t | 1) over every t in (Z_k)^5: k^5 times the
+    histogram's all-zero bin.  Term t sums zeta^<x, c(t)> over residue
+    patterns x, c = _coef_vector; t -> c(t) is a bijection of (Z_k)^5, so
+    the sum over t is k^5 at x = 0 and 0 at every other x."""
+    return CycInt.integer(k, k ** 5 * int(residue_histogram(ctx, k)[0]))
 
 
 # ---------------------------------------------------------------------------

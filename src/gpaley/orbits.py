@@ -54,7 +54,8 @@ class AffineMap:
 
     def compose(self, other: AffineMap) -> AffineMap:
         """self after other (standard composition order)."""
-        assert self.k == other.k
+        if self.k != other.k:
+            raise ValueError(f"cannot compose maps mod {self.k} and mod {other.k}")
         return AffineMap(self.k, f"{self.name}*{other.name}",
                          self.matrix @ other.matrix % self.k)
 
@@ -80,6 +81,8 @@ def generators(k: int) -> dict:
 
 
 def identity_map(k: int) -> AffineMap:
+    if k < 2:
+        raise ValueError(f"the orbit layer needs k >= 2, got k={k}")
     return AffineMap(k, "T0", np.eye(5, dtype=np.int64))
 
 
@@ -196,6 +199,8 @@ def orbit_decompose(k: int) -> OrbitDecomposition:
 
 
 def fixed_point_count(m: AffineMap, k: int) -> int:
+    if m.k != k:
+        raise ValueError(f"map {m.name} is taken mod {m.k}, not mod {k}")
     block = _xk_block(k)
     return int((m.apply(block) == block).all(axis=0).sum())
 

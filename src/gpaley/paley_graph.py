@@ -1,14 +1,20 @@
-"""G_k(q), its subgraphs H and H1, and four independent K3/K4 counters.
+"""G_k(q), its subgraphs H and H1, and the K3/K4 counting routes.
 
-The routes deliberately share as little code as possible:
+The K4 routes and the kernels they read:
 
-  naive      bitmask enumeration (triangles by edge-neighborhood
-             intersection, K4 by triangle extension); the oracle.
-  subgraph   K4 = q(q-1)/(12k) * #E(H1); near-linear in q, the production
-             path for the Ramsey searches.
-  thm1       full (Z_k)^5 grid of scaled 3F2 values.
-  thm2       the reduced bracket with R_k, S_k and the X_k orbit sum.
-  corollary  the k = 2, 3, 4 closed forms driven by quadratic-form data.
+  naive      bitmask enumeration over adjacency_rows; the oracle.
+  subgraph   K4 = q(q-1)/(12k) * #E(H1), edges by _edge_count; near-linear
+             in q, the production path for the Ramsey searches.
+  thm1       k^5 times residue_histogram's all-zero bin (= 2 #E(H1)), to
+             which orthogonality folds Theorem 1's (Z_k)^5 sum; k <= 8.
+             It checks the histogram against _edge_count, no more.
+  thm2       R_k and S_k (Jacobi sums) and one 3F2 per X_k orbit, read
+             from the histogram for k <= 8.
+  corollary  k = 2, 3, 4 closed forms from quadratic forms; k = 3, 4 also
+             read 3F2 values from the histogram.
+
+thm1, thm2 and the k = 3, 4 corollaries share residue_histogram, so one
+fault there moves them together.
 
 Every division the formulas perform is checked exact; a remainder raises
 instead of rounding.
@@ -29,8 +35,6 @@ from .orbits import orbit_decompose
 
 K3_ORACLE_CAP = 1000
 K4_ORACLE_CAP = 300
-THM1_Q_CAP = 128
-THM1_K_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -242,11 +246,8 @@ def K3_corollary(ctx: FieldContext, k: int) -> CliqueCountResult:
     return CliqueCountResult(k, q, 3, count, "corollary")
 
 
-def K4_thm1(ctx: FieldContext, k: int, *, q_cap: int = THM1_Q_CAP,
-            k_cap: int = THM1_K_CAP) -> CliqueCountResult:
+def K4_thm1(ctx: FieldContext, k: int) -> CliqueCountResult:
     validate_paley_params(k, ctx)
-    if ctx.q > q_cap or k > k_cap:
-        raise SizeLimit(f"thm1 capped at q<={q_cap}, k<={k_cap}")
     q = ctx.q
     total = f32_full_grid_sum(ctx, k).as_integer()
     count = _exact_div(q * (q - 1) * total, 24 * k ** 6, "K4 full grid")

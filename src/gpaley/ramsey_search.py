@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from .errors import CrossCheckMismatch, MismatchAgainstPaper
 from .finite_field import (build_field, is_prime, paley_congruence,
                            split_prime_power)
-from .paley_graph import (K3_ORACLE_CAP, K4_ORACLE_CAP, THM1_K_CAP, THM1_Q_CAP,
-                          K3_closed, K3_corollary, K4_corollary,
-                          K4_subgraph_method, K4_thm1, K4_thm2, brute_force_K,
-                          build_graph)
+from .hypergeometric import HIST_K_CAP
+from .paley_graph import (K3_ORACLE_CAP, K4_ORACLE_CAP, K3_closed,
+                          K3_corollary, K4_corollary, K4_subgraph_method,
+                          K4_thm1, K4_thm2, brute_force_K, build_graph)
 
 THM2_CROSSCHECK_CAP = 600
 CACHE_ENV = "GPALEY_CACHE"
@@ -157,7 +157,7 @@ def _cross_check(k: int, m: int, qs: list[int], counts: dict[int, int],
         ctx = build_field(p, r)
         if m == 4:
             _require(K4_thm2(ctx, k).count == counts[q], f"thm2 mismatch at q={q}")
-            if q <= THM1_Q_CAP and k <= THM1_K_CAP:
+            if k <= HIST_K_CAP:       # thm1 reads the k^5-bin histogram
                 _require(K4_thm1(ctx, k).count == counts[q], f"thm1 mismatch at q={q}")
             if k in (2, 3, 4):
                 _require(K4_corollary(ctx, k).count == counts[q],

@@ -23,11 +23,10 @@ from .jacobi import (EISENSTEIN, J0, JJ0, TWO_SQUARES, TWO_TIMES_SQUARE, R_k,
 from .orbits import (build_Xk, burnside_Nk, fixed_point_closed_forms,
                      fixed_point_count, generate_group, named_composites,
                      orbit_decompose, xk_closed_form)
-from .paley_graph import (THM1_K_CAP, THM1_Q_CAP, K3_closed, K3_corollary,
-                          K4_corollary, K4_subgraph_method, K4_thm1, K4_thm2,
-                          adjacency_rows, brute_force_K, build_H, build_H1,
-                          build_graph, count_cliques, h1_vertices,
-                          subgraph_masks)
+from .paley_graph import (K3_closed, K3_corollary, K4_corollary,
+                          K4_subgraph_method, K4_thm1, K4_thm2, adjacency_rows,
+                          brute_force_K, build_H, build_H1, build_graph,
+                          count_cliques, h1_vertices, subgraph_masks)
 from .ramsey_search import paper_bounds_suite, search_zeros
 
 ACCEPTANCE_QS = (13, 16, 17, 25, 27, 37, 41, 49, 61)
@@ -92,9 +91,8 @@ def check_cross_method_equality(q_limit: int = 200, ks=(2, 3, 4, 5)) -> CheckRes
             k3["corollary"] = K3_corollary(ctx, k).count
         k4 = {"naive": brute_force_K(g, 4).count,
               "subgraph": K4_subgraph_method(g).count,
+              "thm1": K4_thm1(ctx, k).count,
               "thm2": K4_thm2(ctx, k).count}
-        if q <= THM1_Q_CAP and k <= THM1_K_CAP:
-            k4["thm1"] = K4_thm1(ctx, k).count
         if k in (2, 3, 4):
             k4["corollary"] = K4_corollary(ctx, k).count
         for label, counts in (("K3", k3), ("K4", k4)):
@@ -478,11 +476,9 @@ def check_subgraph_props(q_limit: int = 61, ks=(2, 3, 4, 5, 6),
                 instances += 1
                 if total.as_integer() != deg1[a] * k ** 3:
                     failures.append(("(e)", k, q, a))
-        if k <= 3:
-            total = f32_full_grid_sum(ctx, k).as_integer()
-            instances += 1
-            if total != 2 * k ** 5 * len(h1e):
-                failures.append(("(f)", k, q))
+        instances += 1
+        if f32_full_grid_sum(ctx, k).as_integer() != 2 * k ** 5 * len(h1e):
+            failures.append(("(f)", k, q))
     return _result("subgraph vertex/degree/edge laws", failures, instances, minimum=50)
 
 

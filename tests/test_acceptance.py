@@ -17,7 +17,7 @@ def _assert(results):
 
 def test_criterion_1_cross_method_equality():
     # k in 2..5, q <= 200: naive = thm = corollary for K3;
-    # naive = subgraph = thm1 (under cap) = thm2 = corollary for K4
+    # naive = subgraph = thm1 = thm2 = corollary for K4
     _assert(verify.check_cross_method_equality(q_limit=200, ks=(2, 3, 4, 5)))
 
 

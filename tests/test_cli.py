@@ -23,6 +23,13 @@ def test_cliques_subcommand(capsys):
     assert data["field"] == {"p": 17, "r": 1, "q": 17, "modulus": [0, 1], "primitive": 3}
 
 
+def test_thm1_past_the_histogram_is_a_size_limit(capsys):
+    code, out, err = run_cli(capsys, "cliques", "--q", "19", "--k", "9", "--m", "4",
+                             "--method", "thm1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "SizeLimit"
+
+
 def test_field_info(capsys):
     code, out, _ = run_cli(capsys, "field", "info", "--p", "2", "--r", "4")
     assert code == 0

@@ -81,7 +81,7 @@ def test_scale_powers():
 
 
 def test_full_grid_sum_matches_termwise():
-    for k, q in ((2, 13), (3, 13)):
+    for k, q in ((2, 13), (3, 13), (4, 13), (5, 11)):
         ctx = get_field(q)
         total = CycInt.zero(k)
         for t1 in range(k):

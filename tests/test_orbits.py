@@ -174,10 +174,19 @@ def test_generator_matrices_match_recipes():
 
 @pytest.mark.parametrize("k", (0, 1, -3))
 def test_k_below_two_is_rejected(k):
-    for fn in (build_Xk, generate_group, named_composites, orbit_decompose,
-               tables_json):
+    for fn in (build_Xk, generate_group, identity_map, named_composites,
+               orbit_decompose, tables_json):
         with pytest.raises(ValueError):
             fn(k)
+
+
+def test_maps_of_another_modulus_are_rejected():
+    t1 = generators(5)["T1"]
+    assert fixed_point_count(generators(7)["T1"], 7) == 156
+    with pytest.raises(ValueError):
+        fixed_point_count(t1, 7)
+    with pytest.raises(ValueError):
+        t1.compose(identity_map(7))
 
 
 def test_enumeration_grid_is_capped():

@@ -119,11 +119,13 @@ def test_k4_thm1_examples():
     assert K4_thm1(ctx13, 3).count == brute_force_K(build_graph(ctx13, 3), 4).count
 
 
-def test_k4_thm1_cap():
-    with pytest.raises(SizeLimit):
-        K4_thm1(get_field(137), 2)
-    with pytest.raises(SizeLimit):
-        K4_thm1(get_field(41), 5)
+def test_k4_thm1_past_the_grid_range():
+    ctx = get_field(137)
+    count = K4_thm1(ctx, 2).count
+    assert count == K4_thm2(ctx, 2).count == 197965
+    assert count == K4_subgraph_method(build_graph(ctx, 2)).count
+    with pytest.raises(SizeLimit):                 # 9^5 histogram bins
+        K4_thm1(get_field(19), 9)
 
 
 def test_k4_thm2_paper_cases():
@@ -133,9 +135,9 @@ def test_k4_thm2_paper_cases():
 
 def test_k4_thm2_matches_thm1_at_k5():
     ctx = get_field(61)
-    lifted_cap = K4_thm1(ctx, 5, q_cap=61, k_cap=5)
-    assert K4_thm2(ctx, 5).count == lifted_cap.count
-    assert brute_force_K(build_graph(ctx, 5), 4).count == lifted_cap.count
+    thm1 = K4_thm1(ctx, 5).count
+    assert K4_thm2(ctx, 5).count == thm1
+    assert brute_force_K(build_graph(ctx, 5), 4).count == thm1
 
 
 def test_k4_corollary_values():

@@ -41,6 +41,12 @@ def test_search_k4_m3():
     assert rep.bound == 42
 
 
+def test_search_past_the_histogram_cross_checks_by_thm2():
+    # k = 9 has no residue histogram, so the sample is checked by thm2 alone
+    rep = search_zeros(9, 4, 200)
+    assert rep.zero_qs == [19, 37, 73, 109, 127, 163, 181]
+
+
 def test_search_empty_range():
     rep = search_zeros(2, 4, 4)
     assert rep.records == [] and rep.bound is None
