@@ -34,8 +34,7 @@ class MultChar:
         return self.m == 0
 
     def __mul__(self, other: MultChar) -> MultChar:
-        assert self.ctx is other.ctx
-        return MultChar(self.ctx, self.m + other.m)
+        return MultChar(same_ctx((self, other)), self.m + other.m)
 
     def __pow__(self, e: int) -> MultChar:
         return MultChar(self.ctx, self.m * e)
@@ -63,10 +62,25 @@ class MultChar:
         return self.eval(self.ctx.neg(1)).as_integer()
 
 
-def canonical_char(ctx: FieldContext, k: int) -> MultChar:
-    """The order-k character with chi_k(omega) = zeta_k."""
+def same_ctx(chars) -> FieldContext:
+    """The one field all of chars are over; they may not mix fields."""
+    ctx = chars[0].ctx
+    if any(ch.ctx is not ctx for ch in chars):
+        raise ValueError("characters over different fields")
+    return ctx
+
+
+def check_order(ctx: FieldContext, k: int) -> None:
+    """Raise unless k >= 1 divides q - 1, so that ind mod k is defined."""
+    if k < 1:
+        raise ValueError(f"character order must be positive, got k={k}")
     if (ctx.q - 1) % k != 0:
         raise OrderNotDividing(f"{k} does not divide q-1={ctx.q - 1}")
+
+
+def canonical_char(ctx: FieldContext, k: int) -> MultChar:
+    """The order-k character with chi_k(omega) = zeta_k."""
+    check_order(ctx, k)
     return MultChar(ctx, (ctx.q - 1) // k)
 
 

@@ -157,15 +157,10 @@ class CycInt:
 
     def conj(self) -> CycInt:
         """The ring involution zeta -> zeta^(-1)."""
-        rows = _zeta_power_basis(self.k)
-        phi = _phi(self.k)
-        acc = [0] * phi
+        counts = [0] * self.k
         for i, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(self.k - i) % self.k]
-                for j in range(phi):
-                    acc[j] += c * row[j]
-        return CycInt(self.k, acc)
+            counts[(-i) % self.k] = c
+        return CycInt.from_zeta_counts(self.k, counts)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -197,15 +192,10 @@ class CycInt:
         if bigk % self.k != 0:
             raise ConductorMismatch(f"{self.k} does not divide {bigk}")
         step = bigk // self.k
-        rows = _zeta_power_basis(bigk)
-        phi = _phi(bigk)
-        acc = [0] * phi
+        counts = [0] * bigk
         for i, c in enumerate(self.coeffs):
-            if c:
-                row = rows[(i * step) % bigk]
-                for j in range(phi):
-                    acc[j] += c * row[j]
-        return CycInt(bigk, acc)
+            counts[(i * step) % bigk] = c
+        return CycInt.from_zeta_counts(bigk, counts)
 
     def complex_value(self) -> complex:
         """Floating-point embedding at zeta = exp(2 pi i / k); diagnostics only."""

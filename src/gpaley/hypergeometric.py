@@ -23,7 +23,7 @@ from math import lcm
 
 import numpy as np
 
-from .characters import MultChar, canonical_char
+from .characters import MultChar, canonical_char, check_order, same_ctx
 from .cyclotomic import CycInt
 from .errors import ShapeMismatch, SizeLimit
 from .finite_field import FieldContext, row_blocks
@@ -39,22 +39,13 @@ class ScaledHypValue:
 
 
 def _conductor(chars) -> int:
-    c = 1
-    for ch in chars:
-        c = lcm(c, ch.order)
-    return c
-
-
-def _same_ctx(chars) -> FieldContext:
-    ctx = chars[0].ctx
-    assert all(ch.ctx is ctx for ch in chars)
-    return ctx
+    return lcm(*(ch.order for ch in chars))
 
 
 def f21_scaled(A: MultChar, B: MultChar, C: MultChar, lam: int,
                conductor: int | None = None) -> ScaledHypValue:
     """q * 2F1(A, B; C | lam) = sum over b of AC^-1(b) B^-1C(1-b) A^-1(b-lam)."""
-    ctx = _same_ctx((A, B, C))
+    ctx = same_ctx((A, B, C))
     c = conductor if conductor is not None else _conductor((A, B, C))
     if lam == 0:
         return ScaledHypValue(CycInt.zero(c), 1)
@@ -73,7 +64,7 @@ def f21_scaled(A: MultChar, B: MultChar, C: MultChar, lam: int,
 def f32_scaled(A: MultChar, B: MultChar, C: MultChar, D: MultChar, E: MultChar,
                lam: int, conductor: int | None = None) -> ScaledHypValue:
     """q^2 * 3F2(A, B, C; D, E | lam) over the full (a, b) double sum."""
-    ctx = _same_ctx((A, B, C, D, E))
+    ctx = same_ctx((A, B, C, D, E))
     c = conductor if conductor is not None else _conductor((A, B, C, D, E))
     if lam == 0:
         return ScaledHypValue(CycInt.zero(c), 2)
@@ -107,21 +98,35 @@ def _index_vectors(k: int) -> np.ndarray:
 
 def residue_histogram(ctx: FieldContext, k: int) -> np.ndarray:
     """Counts of the residue pattern (rho(a), rho(1-a), rho(b), rho(b-1),
-    rho(a-b)) over valid pairs, rho = dlog mod k.  One O(q^2) pass feeds
-    every lambda=1 indexed 3F2 at this (q, k)."""
+    rho(a-b)) over pairs a != b in F_q minus {0, 1}, rho = dlog mod k.  One
+    O(q^2) pass feeds every lambda=1 indexed 3F2 at this (q, k).
+
+    With m = ind b - ind a, a - b = a (1 - omega^m): rho(a-b) = rho(a) +
+    rho(1 - omega^m) is a lookup at the log difference in the residue table
+    behind the cyclotomic numbers (jacobi.cyclotomic_numbers).  The sum is
+    the leading bin digit, folded mod k at the end; the entry 2k at m = 0
+    sends a = b to leading digits [2k, 3k), which are dropped."""
+    check_order(ctx, k)
     if k > HIST_K_CAP:
         raise SizeLimit(f"k^5 histogram bins need k <= {HIST_K_CAP}, got k={k}")
     key = ("f32hist", k)
     if key in ctx._caches:
         return ctx._caches[key]
+    k4 = k ** 4
     n = np.arange(1, ctx.q - 1)                # a, b = omega^n run over F_q \ {0, 1}
-    head = (n % k * k + ctx.log_sub(0, n) % k) * k ** 3     # rho(a), rho(1 - a)
-    mid = (n % k * k + ctx.log_sub(n, 0) % k) * k           # rho(b), rho(b - 1)
-    hist = np.zeros(k ** 5, dtype=np.int64)
+    one_minus = ctx.log_sub(0, np.arange(ctx.q - 1)) % k     # rho(1 - omega^m)
+    one_minus[0] = 2 * k
+    lead = one_minus * k4                                    # rho(a-b) - rho(a), leading digit
+    row = n % k * (k4 + k ** 3) + one_minus[n] * k * k       # rho(a), rho(1 - a)
+    col = n % k * k + ctx.log_sub(n, 0) % k                  # rho(b), rho(b - 1)
+    # int32 cells suffice: bins stay below 3k^5 and |m| below q - 1
+    n, row, col, lead = (x.astype(np.int32) for x in (n, row, col, lead))
+    hist = np.zeros(3 * k * k4, dtype=np.int64)
     for blk in row_blocks(len(n), len(n)):
-        d = ctx.log_sub(n[blk, None], n[None, :])           # ind(a - b)
-        flat = head[blk, None] + mid[None, :] + d % k
-        hist += np.bincount(flat[d >= 0], minlength=k ** 5)
+        flat = row[blk, None] + col[None, :] + lead[n[None, :] - n[blk, None]]
+        hist += np.bincount(flat.ravel(), minlength=len(hist))
+    low, high, _ = hist.reshape(3, k, k4)                    # a = b lands in the third
+    hist = (low + high).T.ravel()
     ctx._caches[key] = hist
     return hist
 
@@ -314,7 +319,7 @@ def _numeric_binom(ctx: FieldContext, mx: int, my: int) -> complex:
 
 def f21_definitional_numeric(A: MultChar, B: MultChar, C: MultChar, lam: int) -> complex:
     """2F1 via the sum over all characters; float, oracle use only."""
-    ctx = _same_ctx((A, B, C))
+    ctx = same_ctx((A, B, C))
     if lam == 0:
         return 0j
     q = ctx.q
@@ -328,7 +333,7 @@ def f21_definitional_numeric(A: MultChar, B: MultChar, C: MultChar, lam: int) ->
 
 def f32_definitional_numeric(A: MultChar, B: MultChar, C: MultChar,
                              D: MultChar, E: MultChar, lam: int) -> complex:
-    ctx = _same_ctx((A, B, C, D, E))
+    ctx = same_ctx((A, B, C, D, E))
     if lam == 0:
         return 0j
     q = ctx.q

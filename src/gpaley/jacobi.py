@@ -1,12 +1,16 @@
 """Jacobi sums, the scaled binomial symbol, and their aggregates.
 
-Everything is computed by direct O(q) summation: each term of J(A, B) is a
-root of unity, so the sum is a histogram of exponents folded through
+jacobi_sum is the direct O(q) definition: each term of J(A, B) is a root of
+unity, so the sum is a histogram of exponents folded through
 CycInt.from_zeta_counts.  The terms are indexed by n = ind(a), and
 ind(1 - a) comes from the field's Zech table in one vectorized lookup.
-The aggregates R_k, S_k, J0, JJ0 are rational integers by conjugation
-symmetry of their index sets, and as_integer enforces that instead of
-trusting it.
+
+The aggregates R_k, S_k, J0, JJ0 read the order-k cyclotomic numbers
+(i, j)_k = #{a : ind a = i, ind(1 - a) = j (mod k)}, one O(q) pass that
+determines every J(chi^s, chi^t) = sum (i, j)_k zeta^(si + tj) (Dickson,
+Amer. J. Math. 57, 1935; Berndt, Evans & Williams, Gauss and Jacobi Sums,
+ch. 2).  They are rational integers by conjugation symmetry of their index
+sets, and as_integer enforces that instead of trusting it.
 
 The quadratic-form solvers normalize q = x^2 + y^2, 4q = c^2 + 3d^2 and
 q = u^2 + 2v^2 exactly as the Jacobi-sum evaluations require.
@@ -19,7 +23,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .characters import MultChar, canonical_char
+from .characters import MultChar, check_order, same_ctx
 from .cyclotomic import CycInt
 from .errors import NoRepresentation
 from .finite_field import FieldContext
@@ -27,21 +31,12 @@ from .finite_field import FieldContext
 
 def jacobi_sum(A: MultChar, B: MultChar, conductor: int | None = None) -> CycInt:
     """J(A, B) = sum over a of A(a) B(1-a)."""
-    ctx = A.ctx
-    assert ctx is B.ctx
+    ctx = same_ctx((A, B))
     c = conductor if conductor is not None else lcm(A.order, B.order)
-    key = ("jacobi", A.m, B.m, c)
-    memo = ctx._caches.setdefault("jacobi_memo", {})
-    if key in memo:
-        return memo[key]
-    xa = A.exponent_in(c)
-    xb = B.exponent_in(c)
     n = np.arange(ctx.q - 1)            # a = omega^n
     l_oma = ctx.log_sub(0, n)           # ind(1 - a), -1 at a = 1
-    e = (xa * n + xb * l_oma)[l_oma >= 0] % c
-    val = CycInt.from_zeta_counts(c, np.bincount(e, minlength=c).tolist())
-    memo[key] = val
-    return val
+    e = (A.exponent_in(c) * n + B.exponent_in(c) * l_oma)[l_oma >= 0] % c
+    return CycInt.from_zeta_counts(c, np.bincount(e, minlength=c).tolist())
 
 
 def binom_symbol_scaled(A: MultChar, B: MultChar, conductor: int | None = None) -> CycInt:
@@ -50,53 +45,50 @@ def binom_symbol_scaled(A: MultChar, B: MultChar, conductor: int | None = None) 
     return B.sign_at_minus_one() * jacobi_sum(A, B.conj(), conductor=c)
 
 
+def cyclotomic_numbers(ctx: FieldContext, k: int) -> np.ndarray:
+    """(i, j)_k = #{a != 0, 1 : ind a = i, ind(1 - a) = j (mod k)} as a
+    k x k integer array."""
+    check_order(ctx, k)
+    n = np.arange(1, ctx.q - 1)         # a = omega^n, a != 1
+    cell = n % k * k + ctx.log_sub(0, n) % k
+    return np.bincount(cell, minlength=k * k).reshape(k, k)
+
+
+def jacobi_table(ctx: FieldContext, k: int) -> list[list[CycInt]]:
+    """J[s][t] = J(chi_k^s, chi_k^t) = sum of (i, j)_k zeta^(si + tj), for
+    s, t in [0, k).  Row -s is J[-s], by Python's negative indexing."""
+    cyc = cyclotomic_numbers(ctx, k)
+    s, t, i, j = np.indices((k,) * 4)
+    counts = np.zeros((k, k, k), dtype=np.int64)
+    np.add.at(counts, (s, t, (s * i + t * j) % k), cyc[i, j])
+    return [[CycInt.from_zeta_counts(k, row.tolist()) for row in plane] for plane in counts]
+
+
 def R_k(ctx: FieldContext, k: int) -> int:
     """Sum of J(chi_k^s, chi_k^t) over s, t in [1, k-1] with s+t != 0 mod k."""
-    chi = canonical_char(ctx, k)
-    total = CycInt.zero(k)
-    for s in range(1, k):
-        for t in range(1, k):
-            if (s + t) % k == 0:
-                continue
-            total = total + jacobi_sum(chi ** s, chi ** t, conductor=k)
-    return total.as_integer()
+    J = jacobi_table(ctx, k)
+    return sum((J[s][t] for s in range(1, k) for t in range(1, k) if (s + t) % k),
+               CycInt.zero(k)).as_integer()
 
 
 def S_k(ctx: FieldContext, k: int) -> int:
     """Triple sum of J(chi^s, chi^t) J(conj chi^s, chi^v) with
     s+t, v+t, v-s all nonzero mod k."""
-    chi = canonical_char(ctx, k)
-    total = CycInt.zero(k)
-    for s in range(1, k):
-        for t in range(1, k):
-            if (s + t) % k == 0:
-                continue
-            left = jacobi_sum(chi ** s, chi ** t, conductor=k)
-            for v in range(1, k):
-                if (v + t) % k == 0 or (v - s) % k == 0:
-                    continue
-                total = total + left * jacobi_sum(chi ** (-s), chi ** v, conductor=k)
-    return total.as_integer()
+    J = jacobi_table(ctx, k)
+    return sum((J[s][t] * J[-s][v] for s in range(1, k) for t in range(1, k)
+                for v in range(1, k) if (s + t) % k and (v + t) % k and (v - s) % k),
+               CycInt.zero(k)).as_integer()
 
 
 def J0(ctx: FieldContext, k: int) -> int:
-    chi = canonical_char(ctx, k)
-    total = CycInt.zero(k)
-    for s in range(k):
-        for t in range(k):
-            total = total + jacobi_sum(chi ** s, chi ** t, conductor=k)
-    return total.as_integer()
+    J = jacobi_table(ctx, k)
+    return sum((J[s][t] for s in range(k) for t in range(k)), CycInt.zero(k)).as_integer()
 
 
 def JJ0(ctx: FieldContext, k: int) -> int:
-    chi = canonical_char(ctx, k)
-    total = CycInt.zero(k)
-    for s in range(k):
-        for t in range(k):
-            left = jacobi_sum(chi ** s, chi ** t, conductor=k)
-            for v in range(k):
-                total = total + left * jacobi_sum(chi ** (-s), chi ** v, conductor=k)
-    return total.as_integer()
+    J = jacobi_table(ctx, k)
+    return sum((J[s][t] * J[-s][v] for s in range(k) for t in range(k) for v in range(k)),
+               CycInt.zero(k)).as_integer()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ The K4 routes and the kernels they read:
   thm1       k^5 times residue_histogram's all-zero bin (= 2 #E(H1)), to
              which orthogonality folds Theorem 1's (Z_k)^5 sum; k <= 8.
              It checks the histogram against _edge_count, no more.
-  thm2       R_k and S_k (Jacobi sums) and one 3F2 per X_k orbit, read
+  thm2       R_k and S_k (cyclotomic numbers) and one 3F2 per X_k orbit, read
              from the histogram for k <= 8.
   corollary  k = 2, 3, 4 closed forms from quadratic forms; k = 3, 4 also
              read 3F2 values from the histogram.
@@ -131,8 +131,10 @@ def brute_force_K(g: PaleyGraph, m: int, cap: int | None = None) -> CliqueCountR
     limit = cap if cap is not None else (K3_ORACLE_CAP if m == 3 else K4_ORACLE_CAP)
     if g.q > limit:
         raise SizeLimit(f"naive oracle capped at q={limit}, got {g.q}")
-    count = count_cliques(adjacency_rows(g), m)
-    return CliqueCountResult(g.k, g.q, m, count, "naive")
+    key = ("naive", g.k, m)
+    if key not in g.ctx._caches:
+        g.ctx._caches[key] = count_cliques(adjacency_rows(g), m)
+    return CliqueCountResult(g.k, g.q, m, g.ctx._caches[key], "naive")
 
 
 # ---------------------------------------------------------------------------

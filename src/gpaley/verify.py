@@ -19,7 +19,7 @@ from .hypergeometric import (check_reduction, check_transformation,
                              f32_definitional_numeric, f32_full_grid_sum,
                              f32_indexed)
 from .jacobi import (EISENSTEIN, J0, JJ0, TWO_SQUARES, TWO_TIMES_SQUARE, R_k,
-                     S_k, jacobi_sum, solve_quadform)
+                     S_k, jacobi_sum, jacobi_table, solve_quadform)
 from .orbits import (build_Xk, burnside_Nk, fixed_point_closed_forms,
                      fixed_point_count, generate_group, named_composites,
                      orbit_decompose, xk_closed_form)
@@ -264,7 +264,6 @@ def check_aggregate_identities(q_limit: int = 200) -> CheckResult:
     failures, instances = [], 0
     for k, q in valid_pairs(q_limit, ks=(2, 3, 4, 5, 6)):
         ctx = field_for(q)
-        chi = canonical_char(ctx, k)
         R, S = R_k(ctx, k), S_k(ctx, k)
         j0, jj0 = J0(ctx, k), JJ0(ctx, k)
         instances += 4
@@ -274,11 +273,9 @@ def check_aggregate_identities(q_limit: int = 200) -> CheckResult:
             failures.append(("JJ0", k, q))
         if j0 % (k * k) != 0:
             failures.append(("J0 mod k^2", k, q))
-        total = CycInt.zero(k)
-        for s in range(1, k):
-            for t in range(1, k):
-                total = total + (jacobi_sum(chi ** s, chi ** t, conductor=k)
-                                 * jacobi_sum(chi ** (-s), chi ** (-t), conductor=k))
+        J = jacobi_table(ctx, k)
+        total = sum((J[s][t] * J[-s][-t] for s in range(1, k) for t in range(1, k)),
+                    CycInt.zero(k))
         if total.as_integer() != (k - 1) * ((k - 2) * q + 1):
             failures.append(("conjugate double sum", k, q))
     return _result("aggregate Jacobi identities", failures, instances, minimum=100)
@@ -488,10 +485,9 @@ def check_clique_recursions(q_limit: int = 200, ks=(2, 3, 4)) -> CheckResult:
     for k, q in valid_pairs(q_limit, ks):
         ctx = field_for(q)
         g = build_graph(ctx, k)
-        g_rows = adjacency_rows(g)
         h_rows = subgraph_masks(g, list(g.S))
         h1_rows = subgraph_masks(g, h1_vertices(g))
-        kg = {m: count_cliques(g_rows, m) for m in (3, 4)}
+        kg = {m: brute_force_K(g, m).count for m in (3, 4)}
         kh = {m: count_cliques(h_rows, m) for m in (2, 3, 4)}
         kh1 = {m: count_cliques(h1_rows, m) for m in (1, 2, 3)}
         for n in (2, 3):

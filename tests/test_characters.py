@@ -6,6 +6,7 @@ from gpaley.characters import MultChar, canonical_char, orthogonality_sum, trivi
 from gpaley.cyclotomic import CycInt, zeta_pow
 from gpaley.errors import OrderNotDividing, ZeroInput
 from gpaley.finite_field import is_kth_power
+from gpaley.jacobi import cyclotomic_numbers
 from helpers import get_field, paley_pairs
 
 
@@ -38,6 +39,14 @@ def test_canonical_char_16():
 def test_order_not_dividing():
     with pytest.raises(OrderNotDividing):
         canonical_char(get_field(13), 5)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_order_below_one_is_rejected(k):
+    with pytest.raises(ValueError):
+        canonical_char(get_field(13), k)
+    with pytest.raises(ValueError):
+        cyclotomic_numbers(get_field(13), k)
 
 
 def test_char_at_one_and_minus_one():

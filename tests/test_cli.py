@@ -52,6 +52,14 @@ def test_orbits_rejects_bad_k(capsys, k, error):
     assert json.loads(err)["error"] == error
 
 
+@pytest.mark.parametrize("argv", [("jacobi", "--q", "13", "--k", "0"),
+                                  ("hyp", "--q", "13", "--k", "0", "--t", "1,1,1,0,0")])
+def test_order_below_one_is_a_json_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_hyp_subcommand(capsys):
     code, out, _ = run_cli(capsys, "hyp", "--q", "127", "--k", "3", "--t", "1,1,2,0,0")
     data = json.loads(out)

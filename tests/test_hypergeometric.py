@@ -6,12 +6,13 @@ import pytest
 
 from gpaley.characters import MultChar, canonical_char, trivial_char
 from gpaley.cyclotomic import CycInt
-from gpaley.errors import ShapeMismatch
+from gpaley.errors import OrderNotDividing, ShapeMismatch
 from gpaley.hypergeometric import (check_reduction, check_transformation,
                                    f21_definitional_numeric, f21_scaled,
                                    f32_definitional_numeric, f32_full_grid_sum,
                                    f32_indexed, f32_scaled,
-                                   index_map_for_transformation)
+                                   index_map_for_transformation,
+                                   residue_histogram)
 from gpaley.jacobi import solve_quadform
 from gpaley.verify import (check_exact_vs_numeric, check_orbit_invariance,
                            check_reductions, check_transformations)
@@ -71,6 +72,34 @@ def test_histogram_path_matches_direct_sum():
             fast = f32_indexed(ctx, k, t).value
             slow = f32_scaled(*(chi ** ti for ti in t), lam=1, conductor=k).value
             assert fast == slow
+
+
+def test_residue_histogram_matches_scalar_double_loop():
+    """Every k <= 8 dividing q - 1, whether or not (k, q) is a Paley pair."""
+    for q in (13, 16, 25, 27, 49):
+        ctx = get_field(q)
+        for k in range(1, 9):
+            if (q - 1) % k:
+                continue
+            expect = [0] * k ** 5
+            for a in range(2, q):               # a, b run over F_q minus {0, 1}
+                for b in range(2, q):
+                    if a == b:
+                        continue
+                    idx = 0
+                    for x in (a, ctx.sub(1, a), b, ctx.sub(b, 1), ctx.sub(a, b)):
+                        idx = idx * k + ctx.dlog(x) % k
+                    expect[idx] += 1
+            assert residue_histogram(ctx, k).tolist() == expect, (q, k)
+
+
+def test_histogram_rejects_bad_orders():
+    ctx = get_field(13)
+    for k in (0, -3):
+        with pytest.raises(ValueError):
+            residue_histogram(ctx, k)
+    with pytest.raises(OrderNotDividing):
+        residue_histogram(ctx, 5)
 
 
 def test_scale_powers():

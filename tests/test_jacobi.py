@@ -8,9 +8,10 @@ import pytest
 from gpaley.characters import MultChar, canonical_char, trivial_char
 from gpaley.cyclotomic import CycInt
 from gpaley.errors import NoRepresentation, NotRational
+from gpaley.hypergeometric import f21_scaled
 from gpaley.jacobi import (EISENSTEIN, J0, JJ0, TWO_SQUARES, TWO_TIMES_SQUARE,
-                           R_k, S_k, binom_symbol_scaled, jacobi_sum,
-                           solve_quadform)
+                           R_k, S_k, binom_symbol_scaled, cyclotomic_numbers,
+                           jacobi_sum, jacobi_table, solve_quadform)
 from gpaley.verify import check_aggregate_identities, check_quadform_lemmas
 from helpers import get_field, paley_pairs
 
@@ -149,6 +150,55 @@ def test_aggregates_independent_of_order_k_character_choice():
                     if (s + t) % k:
                         total = total + jacobi_sum(chi ** s, chi ** t, conductor=k)
             assert total.as_integer() == reference
+
+
+TABLE_QS = (13, 16, 25, 27, 49)
+
+
+def _orders(q):
+    return [k for k in range(1, 9) if (q - 1) % k == 0]
+
+
+def test_cyclotomic_numbers_match_scalar_count():
+    for q in TABLE_QS:
+        ctx = get_field(q)
+        for k in _orders(q):
+            expect = [[0] * k for _ in range(k)]
+            for a in range(2, q):               # every element but 0 and 1
+                expect[ctx.dlog(a) % k][ctx.dlog(ctx.sub(1, a)) % k] += 1
+            assert cyclotomic_numbers(ctx, k).tolist() == expect, (q, k)
+
+
+def test_jacobi_table_matches_jacobi_sum():
+    for q in TABLE_QS:
+        ctx = get_field(q)
+        for k in _orders(q):
+            chi = canonical_char(ctx, k)
+            table = jacobi_table(ctx, k)
+            for s in range(k):
+                for t in range(k):
+                    assert table[s][t] == jacobi_sum(chi ** s, chi ** t, conductor=k), (q, k, s, t)
+
+
+def test_J0_and_JJ0_by_orthogonality():
+    """Summing zeta^(si + tj) over all s, t keeps only (0, 0)_k, so
+    J0 = k^2 (0,0)_k and JJ0 = k^3 sum_i (i,0)_k^2."""
+    for q in TABLE_QS + (37, 41, 61, 73, 97):
+        ctx = get_field(q)
+        for k in _orders(q):
+            cyc = cyclotomic_numbers(ctx, k)
+            assert J0(ctx, k) == k ** 2 * int(cyc[0, 0]), (q, k)
+            assert JJ0(ctx, k) == k ** 3 * sum(int(c) ** 2 for c in cyc[:, 0]), (q, k)
+
+
+def test_characters_of_different_fields_are_rejected():
+    chi13, chi37 = canonical_char(get_field(13), 3), canonical_char(get_field(37), 3)
+    with pytest.raises(ValueError):
+        jacobi_sum(chi13, chi37)
+    with pytest.raises(ValueError):
+        chi13 * chi37
+    with pytest.raises(ValueError):
+        f21_scaled(chi13, chi13, chi37, 1)
 
 
 def test_aggregate_identities_grid():

@@ -66,6 +66,10 @@ def test_naive_counts_known_values():
 def test_naive_cap():
     with pytest.raises(SizeLimit):
         brute_force_K(build_graph(get_field(1009), 2), 4)
+    g = build_graph(get_field(29), 2)
+    assert brute_force_K(g, 4).count == 203
+    with pytest.raises(SizeLimit):                # a cached count still obeys the cap
+        brute_force_K(g, 4, cap=17)
 
 
 def test_count_cliques_complete_graph():
