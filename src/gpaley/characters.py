@@ -88,10 +88,6 @@ def trivial_char(ctx: FieldContext) -> MultChar:
     return MultChar(ctx, 0)
 
 
-def char_eval(chi: MultChar, a: int, conductor: int | None = None) -> CycInt:
-    return chi.eval(a, conductor)
-
-
 def orthogonality_sum(ctx: FieldContext, k: int, b: int) -> int:
     """(1/k) sum_t chi_k^t(b): 1 when b is a k-th power, else 0."""
     if b == 0:

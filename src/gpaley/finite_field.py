@@ -5,9 +5,14 @@ representative packed into a single index (0 is the zero element, 1 is the
 multiplicative identity).  Digits are used only while the tables are built;
 after that all arithmetic is table lookups:
 
-  exp_table[n]   omega^n, for n in [0, q-1)
-  log_table[a]   ind(a), the discrete log of a nonzero a
-  zech_table[n]  ind(omega^n + 1), or -1 where omega^n = -1
+  np_exp[n]   omega^n, for n in [0, q-1)
+  np_log[a]   ind(a), the discrete log of a nonzero a
+  np_zech[n]  ind(omega^n + 1), or -1 where omega^n = -1
+
+The tables are int64 arrays, built once per field.  The scalar operations
+read list copies of them (``exp_table``, ``log_table``, ``zech_table``),
+which are made the first time a scalar operation asks for one, so the
+vectorized passes of a zero scan never pay for them.
 
 Zech's logarithm adds in prime and extension fields alike:
 a + b = omega^(ind a + Z[ind b - ind a]), and -b = omega^(ind b + ind(-1)).
@@ -20,6 +25,7 @@ that ``row_blocks`` cuts to a fixed number of cells.  Every run of the same
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -27,7 +33,7 @@ import numpy as np
 from .errors import CompositeP, InvalidCongruence, SizeLimit, ZeroInput
 
 DEFAULT_SIZE_LIMIT = 1 << 24
-EXP_BLOCK = 1 << 12          # digit vectors held at once while building exp_table
+EXP_BLOCK = 1 << 12          # digit vectors held at once while building np_exp
 BLOCK_ELEMENTS = 1 << 20     # cells per row block of a vectorized pairwise pass
 
 
@@ -163,13 +169,25 @@ class FieldContext:
     q: int
     modulus: tuple[int, ...]          # length r+1, monic, low degree first
     primitive_index: int
-    exp_table: list[int] = field(repr=False)
-    log_table: list[int] = field(repr=False)
-    zech_table: list[int] = field(repr=False)   # ind(omega^n + 1), -1 at omega^n = -1
+    np_exp: np.ndarray = field(repr=False)      # omega^n
+    np_log: np.ndarray = field(repr=False)      # ind(a), 0 at a = 0
+    np_zech: np.ndarray = field(repr=False)     # ind(omega^n + 1), -1 at omega^n = -1
     log_neg_one: int = field(repr=False)        # ind(-1): (q-1)/2, or 0 when p = 2
-    np_log: np.ndarray = field(repr=False)      # the tables again as int64 arrays,
-    np_zech: np.ndarray = field(repr=False)     # for the vectorized passes
     _caches: dict = field(default_factory=dict, repr=False)
+
+    # -- list copies of the tables, for the scalar operations --------------
+
+    @cached_property
+    def exp_table(self) -> list[int]:
+        return self.np_exp.tolist()
+
+    @cached_property
+    def log_table(self) -> list[int]:
+        return self.np_log.tolist()
+
+    @cached_property
+    def zech_table(self) -> list[int]:
+        return self.np_zech.tolist()
 
     # -- element arithmetic ------------------------------------------------
 
@@ -268,6 +286,8 @@ def _raw_mul(a: int, b: int, ctx_p: int, ctx_r: int, modulus: list[int]) -> int:
 
 def _element_order_is_maximal(g: int, p: int, r: int, q: int,
                               modulus: list[int], qm1_primes: list[int]) -> bool:
+    if r == 1:
+        return all(pow(g, (q - 1) // ell, p) != 1 for ell in qm1_primes)
     for ell in qm1_primes:
         e = (q - 1) // ell
         acc, base = 1, g
@@ -325,7 +345,8 @@ def build_field(p: int, r: int, *, size_limit: int = DEFAULT_SIZE_LIMIT,
     qm1_primes = sorted(factorize(q - 1)) if q > 2 else []
 
     generators = []
-    for g in range(1, q):
+    # for r > 1 the constants 1..p-1 have orders dividing p - 1 < q - 1
+    for g in range(1 if r == 1 else p, q):
         if _element_order_is_maximal(g, p, r, q, modulus, qm1_primes):
             generators.append(g)
             if len(generators) > (1 if alt_generator else 0):
@@ -345,12 +366,10 @@ def build_field(p: int, r: int, *, size_limit: int = DEFAULT_SIZE_LIMIT,
         p=p, r=r, q=q,
         modulus=tuple(modulus),
         primitive_index=omega,
-        exp_table=exp.tolist(),
-        log_table=log.tolist(),
-        zech_table=zech.tolist(),
-        log_neg_one=int(log[p - 1]),
+        np_exp=exp,
         np_log=log,
         np_zech=zech,
+        log_neg_one=int(log[p - 1]),
     )
 
 
@@ -377,11 +396,18 @@ def is_kth_power(ctx: FieldContext, a: int, k: int) -> bool:
     return ctx.dlog(a) % k == 0
 
 
-def kth_power_residues(ctx: FieldContext, k: int) -> list[int]:
-    """S_k as a sorted list of element indices."""
+def residue_mask(ctx: FieldContext, k: int) -> np.ndarray:
+    """Boolean lookup by element index of S_k, the nonzero k-th powers."""
     if (ctx.q - 1) % k != 0:
         raise ValueError(f"k={k} does not divide q-1={ctx.q - 1}")
-    return sorted(ctx.exp_table[0::k])
+    mask = np.zeros(ctx.q, dtype=bool)
+    mask[ctx.np_exp[0::k]] = True
+    return mask
+
+
+def kth_power_residues(ctx: FieldContext, k: int) -> list[int]:
+    """S_k as a sorted list of element indices."""
+    return np.flatnonzero(residue_mask(ctx, k)).tolist()
 
 
 def split_prime_power(q: int) -> tuple[int, int]:

@@ -267,21 +267,6 @@ def check_transformation(case, params) -> bool:
     return lhs == rhs
 
 
-def index_map_for_transformation(case, t, k):
-    """The affine action on index vectors induced by each transformation."""
-    t1, t2, t3, t4, t5 = t
-    maps = {
-        1: (t2 - t4, t1 - t4, t3 - t4, -t4, t5 - t4),
-        2: (t1, t1 - t4, t1 - t5, t1 - t2, t1 - t3),
-        3: (t2 - t4, t2, t2 - t5, t2 - t1, t2 - t3),
-        4: (t1, t2, t5 - t3, t1 + t2 - t4, t5),
-        5: (t1, t4 - t2, t3, t4, t1 + t3 - t5),
-        6: (t4 - t1, t2, t3, t4, t2 + t3 - t5),
-        7: (t4 - t1, t4 - t2, t3, t4, t4 + t5 - t1 - t2),
-    }
-    return tuple(x % k for x in maps[case])
-
-
 # ---------------------------------------------------------------------------
 # floating-point oracle: the definitional sum over all q-1 characters
 # ---------------------------------------------------------------------------

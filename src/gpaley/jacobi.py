@@ -54,14 +54,19 @@ def cyclotomic_numbers(ctx: FieldContext, k: int) -> np.ndarray:
     return np.bincount(cell, minlength=k * k).reshape(k, k)
 
 
-def jacobi_table(ctx: FieldContext, k: int) -> list[list[CycInt]]:
+def jacobi_table(ctx: FieldContext, k: int) -> tuple[tuple[CycInt, ...], ...]:
     """J[s][t] = J(chi_k^s, chi_k^t) = sum of (i, j)_k zeta^(si + tj), for
-    s, t in [0, k).  Row -s is J[-s], by Python's negative indexing."""
-    cyc = cyclotomic_numbers(ctx, k)
-    s, t, i, j = np.indices((k,) * 4)
-    counts = np.zeros((k, k, k), dtype=np.int64)
-    np.add.at(counts, (s, t, (s * i + t * j) % k), cyc[i, j])
-    return [[CycInt.from_zeta_counts(k, row.tolist()) for row in plane] for plane in counts]
+    s, t in [0, k).  Row -s is J[-s], by Python's negative indexing.  Built
+    once per field and order, and kept in ctx._caches."""
+    key = ("jacobi", k)
+    if key not in ctx._caches:
+        cyc = cyclotomic_numbers(ctx, k)
+        s, t, i, j = np.indices((k,) * 4)
+        counts = np.zeros((k, k, k), dtype=np.int64)
+        np.add.at(counts, (s, t, (s * i + t * j) % k), cyc[i, j])
+        ctx._caches[key] = tuple(tuple(CycInt.from_zeta_counts(k, row.tolist())
+                                       for row in plane) for plane in counts)
+    return ctx._caches[key]
 
 
 def R_k(ctx: FieldContext, k: int) -> int:

@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import CrossCheckMismatch, MismatchAgainstPaper
+from .errors import CrossCheckMismatch, InvalidCongruence, MismatchAgainstPaper
 from .finite_field import (build_field, is_prime, paley_congruence,
                            split_prime_power)
 from .hypergeometric import HIST_K_CAP
@@ -188,6 +188,8 @@ def search_zeros(k: int, m: int, q_max: int, *, jobs: int = 1,
                  seed: int = 0) -> SearchReport:
     if m not in (3, 4):
         raise ValueError("clique order must be 3 or 4")
+    if k < 2:
+        raise InvalidCongruence(f"k={k} must be at least 2")
     qs = admissible_q(k, q_max)
     cache = _load_cache(cache_path) if cache_path else {}
     hits = {q: cache[(k, q, m)] for q in qs if (k, q, m) in cache}

@@ -60,6 +60,13 @@ def test_order_below_one_is_a_json_error(capsys, argv):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_ramsey_rejects_k_below_two(capsys, k):
+    code, out, err = run_cli(capsys, "ramsey", "--k", k, "--m", "4", "--qmax", "50")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidCongruence"
+
+
 def test_hyp_subcommand(capsys):
     code, out, _ = run_cli(capsys, "hyp", "--q", "127", "--k", "3", "--t", "1,1,2,0,0")
     data = json.loads(out)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gpaley.errors import CompositeP, InvalidCongruence, SizeLimit, ZeroInput
-from gpaley.finite_field import (EXP_BLOCK, _raw_mul, build_field,
+from gpaley.finite_field import (EXP_BLOCK, _raw_mul, build_field, factorize,
                                  is_kth_power, is_prime, kth_power_residues,
                                  paley_congruence, split_prime_power,
                                  validate_paley_params)
@@ -183,6 +183,44 @@ def test_alternate_generator_differs_but_consistent():
         assert sorted(alt.exp_table) == list(range(1, q))
         for j in range(q - 1):
             assert alt.log_table[alt.exp_table[j]] == j
+
+
+def least_generators(p, r):
+    """The two least generators of GF(p^r)*, every candidate from 1 up
+    tested by square-and-multiply through the table-free _raw_mul."""
+    q = p ** r
+    modulus = list(build_field(p, r).modulus)
+    found = []
+    for g in range(1, q):
+        maximal = True
+        for ell in factorize(q - 1):
+            acc, base, e = 1, g, (q - 1) // ell
+            while e:
+                if e & 1:
+                    acc = _raw_mul(acc, base, p, r, modulus)
+                base = _raw_mul(base, base, p, r, modulus)
+                e >>= 1
+            maximal = maximal and acc != 1
+        if maximal:
+            found.append(g)
+            if len(found) == 2:
+                break
+    return found
+
+
+def test_generator_matches_raw_mul_search():
+    fields = [(p, 1) for p in range(2, 5000) if is_prime(p)] + [
+        (2, 4), (2, 7), (2, 8), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2),
+        (11, 2), (13, 2)]
+    for p, r in fields:
+        found = least_generators(p, r)
+        assert build_field(p, r).primitive_index == found[0], (p, r)
+        if len(found) == 2:
+            alt = build_field(p, r, alt_generator=True)
+            assert alt.primitive_index == found[1], (p, r)
+        else:
+            with pytest.raises(ValueError):
+                build_field(p, r, alt_generator=True)
 
 
 def test_split_prime_power():

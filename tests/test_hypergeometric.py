@@ -11,7 +11,6 @@ from gpaley.hypergeometric import (check_reduction, check_transformation,
                                    f21_definitional_numeric, f21_scaled,
                                    f32_definitional_numeric, f32_full_grid_sum,
                                    f32_indexed, f32_scaled,
-                                   index_map_for_transformation,
                                    residue_histogram)
 from gpaley.jacobi import solve_quadform
 from gpaley.verify import (check_exact_vs_numeric, check_orbit_invariance,
@@ -158,6 +157,21 @@ def test_reduction_shape_mismatch():
         check_reduction(1, (chi, eps, eps, eps, eps))
     with pytest.raises(ShapeMismatch):
         check_reduction(3, (chi, eps, eps, chi ** 2, eps))
+
+
+def index_map_for_transformation(case, t, k):
+    """The affine action on index vectors induced by each transformation."""
+    t1, t2, t3, t4, t5 = t
+    maps = {
+        1: (t2 - t4, t1 - t4, t3 - t4, -t4, t5 - t4),
+        2: (t1, t1 - t4, t1 - t5, t1 - t2, t1 - t3),
+        3: (t2 - t4, t2, t2 - t5, t2 - t1, t2 - t3),
+        4: (t1, t2, t5 - t3, t1 + t2 - t4, t5),
+        5: (t1, t4 - t2, t3, t4, t1 + t3 - t5),
+        6: (t4 - t1, t2, t3, t4, t2 + t3 - t5),
+        7: (t4 - t1, t4 - t2, t3, t4, t4 + t5 - t1 - t2),
+    }
+    return tuple(x % k for x in maps[case])
 
 
 def test_transformation_t1_displayed_case():

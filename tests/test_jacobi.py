@@ -8,6 +8,7 @@ import pytest
 from gpaley.characters import MultChar, canonical_char, trivial_char
 from gpaley.cyclotomic import CycInt
 from gpaley.errors import NoRepresentation, NotRational
+from gpaley.finite_field import build_field, split_prime_power
 from gpaley.hypergeometric import f21_scaled
 from gpaley.jacobi import (EISENSTEIN, J0, JJ0, TWO_SQUARES, TWO_TIMES_SQUARE,
                            R_k, S_k, binom_symbol_scaled, cyclotomic_numbers,
@@ -189,6 +190,28 @@ def test_J0_and_JJ0_by_orthogonality():
             cyc = cyclotomic_numbers(ctx, k)
             assert J0(ctx, k) == k ** 2 * int(cyc[0, 0]), (q, k)
             assert JJ0(ctx, k) == k ** 3 * sum(int(c) ** 2 for c in cyc[:, 0]), (q, k)
+
+
+# (R_k, S_k, J0, JJ0) by order k, as computed before the table was cached
+AGGREGATES = {
+    13: {2: (0, 0, 8, 104), 3: (-5, 0, 0, 135), 4: (-6, -42, 0, 128),
+         6: (4, -84, 0, 216)},
+    25: {2: (0, 0, 20, 488), 3: (10, 0, 27, 459), 4: (18, 86, 32, 576),
+         6: (100, 1500, 108, 1944), 8: (-10, -334, 0, 1024)},
+    49: {2: (0, 0, 44, 2120), 3: (13, 0, 54, 2079), 4: (42, 294, 80, 2368),
+         6: (-32, -84, 0, 2808), 8: (294, 10290, 320, 12800)},
+}
+
+
+def test_aggregates_read_one_cached_table():
+    for q, by_k in AGGREGATES.items():
+        p, r = split_prime_power(q)
+        ctx = build_field(p, r)                 # a fresh field: no table yet
+        for k, expect in by_k.items():
+            assert (R_k(ctx, k), S_k(ctx, k), J0(ctx, k), JJ0(ctx, k)) == expect, (q, k)
+            assert jacobi_table(ctx, k) is jacobi_table(ctx, k)
+        cached = sorted(key[1] for key in ctx._caches if key[0] == "jacobi")
+        assert cached == sorted(by_k)
 
 
 def test_characters_of_different_fields_are_rejected():

@@ -1,12 +1,15 @@
 """Graph construction, the clique-count routes, and the subgraph laws."""
 
+import numpy as np
 import pytest
 
 from gpaley.errors import InvalidCongruence, NonIntegerResult, SizeLimit
+from gpaley.finite_field import build_field
 from gpaley.jacobi import EISENSTEIN, solve_quadform
 from gpaley.paley_graph import (CliqueCountResult, K3_closed, K3_corollary,
                                 K4_corollary, K4_subgraph_method, K4_thm1,
-                                K4_thm2, _exact_div, adjacency_rows,
+                                K4_thm2, _edge_count, _exact_div,
+                                adjacency_rows,
                                 brute_force_K, build_graph, build_H, build_H1,
                                 clique_count, count_cliques, h1_edge_count,
                                 h1_vertices, h_edge_count)
@@ -207,11 +210,48 @@ def test_K4_gf3_10_k2():
     assert clique_count(get_field(59049), 2, 4).count == 7912600177561200
 
 
+def assert_edge_counts_match_scalar_enumeration(g):
+    for verts, count in ((list(g.S), h_edge_count(g)),
+                         (h1_vertices(g), h1_edge_count(g))):
+        edges = sum(g.in_S[g.ctx.sub(a, b)]
+                    for i, a in enumerate(verts) for b in verts[i + 1:])
+        assert type(count) is int and count == edges, (g.k, g.q)
+
+
 def test_h_and_h1_edge_counts_match_scalar_enumeration():
     for k, q in paley_pairs(61):
-        g = build_graph(get_field(q), k)
-        for verts, count in ((list(g.S), h_edge_count(g)),
-                             (h1_vertices(g), h1_edge_count(g))):
-            edges = sum(g.in_S[g.ctx.sub(a, b)]
-                        for i, a in enumerate(verts) for b in verts[i + 1:])
-            assert type(count) is int and count == edges, (k, q)
+        assert_edge_counts_match_scalar_enumeration(build_graph(get_field(q), k))
+
+
+# |S| = (q-1)/k below, at and past multiples of the 64-bit word of the kernel
+@pytest.mark.parametrize("k, q", [
+    (4, 257), (3, 193),                          # |S| = 64
+    (2, 257), (5, 641),                          # |S| = 128
+    (2, 149), (2, 169),                          # |S| = 74, 84
+    (2, 81), (4, 81), (5, 81),                   # GF(3^4)
+    (3, 256), (5, 256), (15, 256), (17, 256),    # GF(2^8)
+])
+def test_edge_counts_at_word_boundaries(k, q):
+    assert_edge_counts_match_scalar_enumeration(build_graph(get_field(q), k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 200])
+def test_edge_kernel_matches_pair_loop_on_random_tables(n):
+    rng = np.random.default_rng(n)
+    half = rng.integers(0, 2, n).astype(bool)
+    table = half | half[-np.arange(n)]          # T[t] = T[-t]
+    table[0] = False
+    t = np.flatnonzero(rng.integers(0, 3, n))   # about two thirds of [0, n)
+    expect = sum(bool(table[b - a]) for i, a in enumerate(t) for b in t[i + 1:])
+    assert _edge_count(table, t) == expect
+
+
+def test_subgraph_count_leaves_the_list_tables_unbuilt():
+    lists = ("exp_table", "log_table", "zech_table")
+    for p, r, k in ((457, 1, 4), (3457, 1, 6), (3, 4, 4)):
+        ctx = build_field(p, r)
+        K4_subgraph_method(build_graph(ctx, k))
+        assert not any(name in vars(ctx) for name in lists), (p, r, k)
+        ctx.add(1, 1)                            # a scalar op builds them
+        assert [getattr(ctx, name) for name in lists] == [
+            ctx.np_exp.tolist(), ctx.np_log.tolist(), ctx.np_zech.tolist()]
