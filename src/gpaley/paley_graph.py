@@ -4,9 +4,10 @@ The K4 routes and the kernels they read:
 
   naive      bitmask enumeration over adjacency_rows; the oracle.
   subgraph   K4 = q(q-1)/(12k) * #E(H1), edges by _edge_count, a cyclic
-             correlation of packed uint64 bit rows: O(|S|) words plus row
-             blocks of at most BLOCK_ELEMENTS bytes, about 0.03 s for
-             GF(3^10), k = 2.  The production path for the Ramsey searches.
+             correlation of packed uint64 bit rows: a phase table of about
+             16 |S| bytes plus row blocks of at most BLOCK_ELEMENTS bytes,
+             about 0.03 s for GF(3^10), k = 2.  The production path for
+             the Ramsey searches.
   thm1       k^5 times residue_histogram's all-zero bin (= 2 #E(H1)), to
              which orthogonality folds Theorem 1's (Z_k)^5 sum; k <= 8.
              It checks the histogram against _edge_count, no more.
@@ -197,7 +198,10 @@ def _edge_count(table: np.ndarray, t: np.ndarray) -> int:
     starts at bit n - t_i.  Word w of the window starting at bit 64 b + s
     is (D[b+w] >> s) | (D[b+w+1] << (64 - s)); that shift is made once for
     each of the 64 phases s, so each row is one gather of contiguous words.
-    A row block holds at most BLOCK_ELEMENTS bytes of words."""
+
+    Memory: the phase table is 64 x 2W words, about 16 |S| bytes for
+    W = ceil(|S| / 64).  It is filled, and rows are read, in blocks of at
+    most BLOCK_ELEMENTS bytes of words."""
     n = len(table)
     n_words = -(-n // 64)
     # one spare word: the window starting at bit n reads word 2 n_words
@@ -205,19 +209,33 @@ def _edge_count(table: np.ndarray, t: np.ndarray) -> int:
     bits[0, t] = True
     bits[1, :n] = bits[1, n:2 * n] = table
     words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    del bits
     v_words, d_words = words[0, :n_words], words[1]
     s = np.arange(64, dtype=np.uint64)[:, None]
+    phases = d_words[:-1] >> s
     # << 1 << (63 - s) is << (64 - s) without a shift by 64 at s = 0
-    phases = d_words[1:] << np.uint64(1) << (np.uint64(63) - s)
-    phases |= d_words[:-1] >> s
+    high = d_words[1:] << np.uint64(1)
+    for blk in row_blocks(64, 16 * n_words):
+        phases[blk] |= high << (np.uint64(63) - s[blk])
     windows = sliding_window_view(phases.ravel(), n_words)
     degrees = 0
     for blk in row_blocks(len(t), 8 * n_words):
         start = n - t[blk]
         row = windows[(start & 63) * (2 * n_words) + (start >> 6)]
         row &= v_words
-        degrees += int(np.bitwise_count(row).sum())
+        degrees += int(_bitwise_count(row).sum())
     return _exact_div(degrees, 2, "H/H1 degree sum")
+
+
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _byte_lookup_count(words: np.ndarray) -> np.ndarray:
+    """Set bits per byte of a contiguous uint64 array, for numpy < 2.0."""
+    return _BYTE_POPCOUNT[words.view(np.uint8)]
+
+
+_bitwise_count = getattr(np, "bitwise_count", _byte_lookup_count)
 
 
 def h1_edge_count(g: PaleyGraph) -> int:

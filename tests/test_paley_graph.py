@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gpaley import paley_graph
 from gpaley.errors import InvalidCongruence, NonIntegerResult, SizeLimit
 from gpaley.finite_field import build_field
 from gpaley.jacobi import EISENSTEIN, solve_quadform
@@ -235,8 +236,7 @@ def test_edge_counts_at_word_boundaries(k, q):
     assert_edge_counts_match_scalar_enumeration(build_graph(get_field(q), k))
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 200])
-def test_edge_kernel_matches_pair_loop_on_random_tables(n):
+def assert_edge_kernel_matches_pair_loop_on_random_table(n):
     rng = np.random.default_rng(n)
     half = rng.integers(0, 2, n).astype(bool)
     table = half | half[-np.arange(n)]          # T[t] = T[-t]
@@ -244,6 +244,20 @@ def test_edge_kernel_matches_pair_loop_on_random_tables(n):
     t = np.flatnonzero(rng.integers(0, 3, n))   # about two thirds of [0, n)
     expect = sum(bool(table[b - a]) for i, a in enumerate(t) for b in t[i + 1:])
     assert _edge_count(table, t) == expect
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 200])
+def test_edge_kernel_matches_pair_loop_on_random_tables(n):
+    assert_edge_kernel_matches_pair_loop_on_random_table(n)
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 200])
+def test_edge_kernel_byte_lookup_popcount(n, monkeypatch):
+    # the path taken on numpy < 2.0, which has no np.bitwise_count
+    monkeypatch.setattr(paley_graph, "_bitwise_count",
+                        paley_graph._byte_lookup_count)
+    assert_edge_kernel_matches_pair_loop_on_random_table(n)
+    assert_edge_counts_match_scalar_enumeration(build_graph(get_field(81), 4))
 
 
 def test_subgraph_count_leaves_the_list_tables_unbuilt():
