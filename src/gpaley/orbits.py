@@ -4,14 +4,20 @@ Every map is linear on (Z_k)^5 and is held as its 5x5 matrix mod k.  A
 linear map is fixed by the images of the unit vectors, so equal matrices
 mod k are equal maps, even when two words in the generators collide as
 functions for small k.  Orbits and fixed points are computed on one int16
-block of X_k per k.  Orbit representatives are lexicographic minima,
-keeping every table output deterministic.
+block of X_k per k, in one pass that applies each group element once.
+The decomposition holds the orbits as a sort order of the block's
+columns and the cut points between orbits, plus each element's
+fixed-point count; the tuple-of-tuples form `.orbits` is built only when
+read.  Orbit representatives are lexicographic minima, keeping every
+table output deterministic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -158,51 +164,73 @@ def build_Xk(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*_xk_block(k).tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitDecomposition:
+    """X_k's columns listed orbit by orbit: order[bounds[i]:bounds[i+1]] are
+    the column indices of orbit i, in lexicographic order, representative
+    first.  fixed_points maps each group element's key to the number of
+    vectors it fixes."""
     k: int
     group_order: int
-    orbits: tuple[tuple[tuple[int, ...], ...], ...]   # each orbit sorted, rep first
+    order: np.ndarray = field(repr=False)
+    bounds: np.ndarray = field(repr=False)
+    fixed_points: Mapping[bytes, int] = field(repr=False)
 
     @property
     def n_orbits(self) -> int:
-        return len(self.orbits)
+        return len(self.bounds) - 1
 
     @property
-    def representatives(self):
-        return [orbit[0] for orbit in self.orbits]
+    def representatives(self) -> list[tuple[int, ...]]:
+        reps = _xk_block(self.k)[:, self.order[self.bounds[:-1]]]
+        return list(zip(*reps.tolist()))
 
-    def rep_sizes(self):
-        return [(orbit[0], len(orbit)) for orbit in self.orbits]
+    def rep_sizes(self) -> list[tuple[tuple[int, ...], int]]:
+        return list(zip(self.representatives, np.diff(self.bounds).tolist()))
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each orbit as a sorted tuple of vectors, representative first."""
+        vectors = list(zip(*_xk_block(self.k)[:, self.order].tolist()))
+        ends = self.bounds.tolist()
+        return tuple(tuple(vectors[a:b]) for a, b in zip(ends, ends[1:]))
 
 
 @lru_cache(maxsize=None)
 def orbit_decompose(k: int) -> OrbitDecomposition:
     """Orbits of the group on X_k.  A vector's representative is its
     least image in lexicographic order; a stable sort by representative
-    lists each orbit in lexicographic order, representative first."""
+    lists each orbit in lexicographic order, representative first.  The
+    same pass counts each element's fixed points: the vectors whose image
+    index equals their own."""
     group = generate_group(k)
     block, shape = _xk_block(k), (k,) * 5
-    rep = np.ravel_multi_index(block, shape)
+    index = np.ravel_multi_index(block, shape)
     in_x = np.zeros(k ** 5, dtype=bool)
-    in_x[rep] = True
+    in_x[index] = True
+    rep, fixed_points = index, {}
     for g in group:
         image = np.ravel_multi_index(g.apply(block), shape)
         assert in_x[image].all(), "group does not preserve X_k"
+        fixed_points[g.key()] = int((image == index).sum())
         rep = np.minimum(rep, image)
     order = np.argsort(rep, kind="stable")
     cuts = np.flatnonzero(np.diff(rep[order])) + 1
-    xk = build_Xk(k)
-    orbits = tuple(tuple(map(xk.__getitem__, part.tolist()))
-                   for part in np.split(order, cuts))
-    return OrbitDecomposition(k=k, group_order=len(group), orbits=orbits)
+    bounds = np.concatenate(([0], cuts, [len(order)]))
+    order.flags.writeable = bounds.flags.writeable = False
+    return OrbitDecomposition(k=k, group_order=len(group), order=order,
+                              bounds=bounds,
+                              fixed_points=MappingProxyType(fixed_points))
 
 
 def fixed_point_count(m: AffineMap, k: int) -> int:
+    """|X_T| for a group element T, as counted by orbit_decompose."""
     if m.k != k:
         raise ValueError(f"map {m.name} is taken mod {m.k}, not mod {k}")
-    block = _xk_block(k)
-    return int((m.apply(block) == block).all(axis=0).sum())
+    count = orbit_decompose(k).fixed_points.get(m.key())
+    if count is None:
+        raise ValueError(f"map {m.name} is not in the group mod {k}")
+    return count
 
 
 def burnside_Nk(k: int) -> int:
@@ -256,7 +284,7 @@ def tables_json(k: int) -> dict:
     dec = orbit_decompose(k)
     return {
         "k": k,
-        "Xk_size": len(build_Xk(k)),
+        "Xk_size": _xk_block(k).shape[1],
         "group_order": dec.group_order,
         "N_k": dec.n_orbits,
         "N_k_closed_form": burnside_Nk(k),

@@ -2,7 +2,10 @@
 
 The K4 routes and the kernels they read:
 
-  naive      bitmask enumeration over adjacency_rows; the oracle.
+  naive      count_cliques over the packed uint64 rows of adjacency_rows:
+             popcounts of ANDs of upper-triangle rows over edges (K3) and
+             triangles (K4), in blocks of at most BLOCK_ELEMENTS bytes;
+             the oracle.
   subgraph   K4 = q(q-1)/(12k) * #E(H1), edges by _edge_count, a cyclic
              correlation of packed uint64 bit rows: a phase table of about
              16 |S| bytes plus row blocks of at most BLOCK_ELEMENTS bytes,
@@ -74,60 +77,103 @@ def build_graph(ctx: FieldContext, k: int) -> PaleyGraph:
 
 
 # ---------------------------------------------------------------------------
-# bitmask adjacency and the naive clique oracle
+# packed adjacency words and the naive clique oracle
 # ---------------------------------------------------------------------------
 
-def _pack_rows(adj: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int with bit j = column j."""
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
-def adjacency_rows(g: PaleyGraph) -> list[int]:
-    """Row a = bitmask of neighbors of a (vertices are element indices)."""
+def _byte_lookup_count(words: np.ndarray) -> np.ndarray:
+    """Set bits per byte of a contiguous uint64 array, for numpy < 2.0."""
+    return _BYTE_POPCOUNT[words.view(np.uint8)]
+
+
+_bitwise_count = getattr(np, "bitwise_count", _byte_lookup_count)
+
+
+def row_popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits in each row (last axis) of a contiguous uint64 array."""
+    return _bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D bool array as ceil(n_cols / 64) uint64 words: bit j
+    is bit j % 64 of word j // 64, and the padding bits are 0."""
+    n_rows, n_cols = bits.shape
+    packed = np.zeros((n_rows, 8 * -(-n_cols // 64)), dtype=np.uint8)
+    packed[:, :-(-n_cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def unpack_words(words: np.ndarray, n_cols: int) -> np.ndarray:
+    """The first n_cols bits of each row of pack_words output, as bools."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n_cols,
+                         bitorder="little").view(bool)
+
+
+def adjacency_rows(g: PaleyGraph) -> np.ndarray:
+    """(q, W) packed rows: bit b of row a is set when a ~ b (vertices are
+    element indices)."""
     ctx, q = g.ctx, g.q
     log = ctx.np_log[1:]
-    rows = _pack_rows(g.in_S[None, :])        # 0 - b = -b, and -1 is in S
+    rows = np.empty((q, -(-q // 64)), dtype="<u8")
+    rows[0] = pack_words(g.in_S[None, :])[0]    # 0 - b = -b, and -1 is in S
     for blk in row_blocks(q - 1, q):
         d = ctx.log_sub(log[blk, None], log[None, :])
         adj = np.empty((len(d), q), dtype=bool)
         adj[:, 0] = g.in_S[1:][blk]           # a - 0 = a
         adj[:, 1:] = (d >= 0) & (d % g.k == 0)
-        rows += _pack_rows(adj)
+        rows[blk.start + 1:blk.stop + 1] = pack_words(adj)
     return rows
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _above_diagonal(rows: np.ndarray) -> np.ndarray:
+    """rows with bit j of row i cleared for every j <= i."""
+    n, n_words = rows.shape
+    i = np.arange(n)
+    ones = ~np.uint64(0)
+    keep = np.where(np.arange(n_words) > (i >> 6)[:, None], ones, np.uint64(0))
+    # << s << 1 keeps the bits above s without a shift by 64 at s = 63
+    keep[i, i >> 6] = ones << (i & 63).astype(np.uint64) << np.uint64(1)
+    return rows & keep
 
 
-def count_cliques(rows: list[int], m: int) -> int:
-    """K_m count (m <= 4) of the graph given by bitmask adjacency rows."""
-    n = len(rows)
+def _set_bits(words: np.ndarray):
+    """(row, bit) index pairs of the set bits of a (n, W) word array, in
+    row-major order, in pieces whose index arrays and whose gathered rows
+    each take at most BLOCK_ELEMENTS bytes."""
+    n_words = words.shape[1]
+    for blk in row_blocks(len(words), 1024 * n_words):
+        bits = np.flatnonzero(unpack_words(words[blk], 64 * n_words))
+        i, j = np.divmod(bits, 64 * n_words)
+        i += blk.start
+        for part in row_blocks(len(i), 8 * n_words):
+            yield i[part], j[part]
+
+
+def count_cliques(rows: np.ndarray, m: int) -> int:
+    """K_m count (m <= 4) of the graph given by (n, W) packed adjacency rows.
+
+    With up = each row masked to the columns above its own index, K2 is
+    the popcount of up, K3 sums popcount(up[u] & up[v]) over the edges
+    u < v, and K4 sums popcount(up[u] & up[v] & up[w]) over the triangles
+    u < v < w, read from the set bits of those ANDs."""
     if m == 1:
-        return n
+        return len(rows)
+    if m not in (2, 3, 4):
+        raise ValueError(f"unsupported clique order {m}")
+    up = _above_diagonal(rows)
     if m == 2:
-        return sum((rows[u] >> (u + 1)).bit_count() for u in range(n))
+        return int(row_popcounts(up).sum())
     count = 0
-    if m == 3:
-        for u in range(n):
-            for v in _iter_bits(rows[u] >> (u + 1)):
-                v += u + 1
-                count += ((rows[u] & rows[v]) >> (v + 1)).bit_count()
-        return count
-    if m == 4:
-        for u in range(n):
-            for v in _iter_bits(rows[u] >> (u + 1)):
-                v += u + 1
-                muv = rows[u] & rows[v]
-                for w in _iter_bits(muv >> (v + 1)):
-                    w += v + 1
-                    count += ((muv & rows[w]) >> (w + 1)).bit_count()
-        return count
-    raise ValueError(f"unsupported clique order {m}")
+    for u, v in _set_bits(up):
+        common = up[u] & up[v]
+        if m == 3:
+            count += int(row_popcounts(common).sum())
+        else:
+            for e, w in _set_bits(common):
+                count += int(row_popcounts(common[e] & up[w]).sum())
+    return count
 
 
 def brute_force_K(g: PaleyGraph, m: int, cap: int | None = None) -> CliqueCountResult:
@@ -160,21 +206,22 @@ def h1_vertices(g: PaleyGraph) -> list[int]:
     return np.sort(g.ctx.np_exp[g.k * np.flatnonzero(_difference_table(g))]).tolist()
 
 
-def subgraph_masks(g: PaleyGraph, verts: list[int]) -> list[int]:
-    """Adjacency rows of the induced subgraph on verts (a subset of S),
-    reindexed 0..n-1."""
+def subgraph_masks(g: PaleyGraph, verts: list[int]) -> np.ndarray:
+    """(n, W) packed adjacency rows of the induced subgraph on verts (a
+    subset of S), reindexed 0..n-1."""
     table = _difference_table(g)
     t = g.ctx.np_log[np.asarray(verts, dtype=np.int64)] // g.k
-    rows: list[int] = []
+    rows = np.empty((len(t), -(-len(t) // 64)), dtype="<u8")
     for blk in row_blocks(len(t), len(t)):
-        rows += _pack_rows(table[t[None, :] - t[blk, None]])
+        rows[blk] = pack_words(table[t[None, :] - t[blk, None]])
     return rows
 
 
 def _induced_edges(g: PaleyGraph, verts: list[int]) -> list[tuple[int, int]]:
-    rows = subgraph_masks(g, verts)
-    return [(a, verts[j]) for i, a in enumerate(verts)
-            for j in _iter_bits(rows[i]) if j > i]
+    adjacent = unpack_words(subgraph_masks(g, verts), len(verts))
+    i, j = np.nonzero(np.triu(adjacent, 1))
+    v = np.asarray(verts, dtype=np.int64)
+    return list(zip(v[i].tolist(), v[j].tolist()))
 
 
 def build_H(g: PaleyGraph):
@@ -208,7 +255,7 @@ def _edge_count(table: np.ndarray, t: np.ndarray) -> int:
     bits = np.zeros((2, 64 * (2 * n_words + 1)), dtype=bool)
     bits[0, t] = True
     bits[1, :n] = bits[1, n:2 * n] = table
-    words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    words = pack_words(bits)
     del bits
     v_words, d_words = words[0, :n_words], words[1]
     s = np.arange(64, dtype=np.uint64)[:, None]
@@ -225,17 +272,6 @@ def _edge_count(table: np.ndarray, t: np.ndarray) -> int:
         row &= v_words
         degrees += int(_bitwise_count(row).sum())
     return _exact_div(degrees, 2, "H/H1 degree sum")
-
-
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _byte_lookup_count(words: np.ndarray) -> np.ndarray:
-    """Set bits per byte of a contiguous uint64 array, for numpy < 2.0."""
-    return _BYTE_POPCOUNT[words.view(np.uint8)]
-
-
-_bitwise_count = getattr(np, "bitwise_count", _byte_lookup_count)
 
 
 def h1_edge_count(g: PaleyGraph) -> int:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .characters import MultChar, canonical_char, trivial_char
 from .cyclotomic import CycInt
 from .finite_field import build_field, paley_congruence, split_prime_power
@@ -26,7 +28,8 @@ from .orbits import (build_Xk, burnside_Nk, fixed_point_closed_forms,
 from .paley_graph import (K3_closed, K3_corollary, K4_corollary,
                           K4_subgraph_method, K4_thm1, K4_thm2, adjacency_rows,
                           brute_force_K, build_H, build_H1, build_graph,
-                          count_cliques, h1_vertices, subgraph_masks)
+                          count_cliques, h1_vertices, row_popcounts,
+                          subgraph_masks, unpack_words)
 from .ramsey_search import paper_bounds_suite, search_zeros
 
 ACCEPTANCE_QS = (13, 16, 17, 25, 27, 37, 41, 49, 61)
@@ -520,13 +523,13 @@ def check_strong_regularity(q_limit: int = 101) -> CheckResult:
         rows = adjacency_rows(g)
         lam, mu = (q - 5) // 4, (q - 1) // 4
         degree = (q - 1) // 2
-        ok = all(rows[v].bit_count() == degree for v in range(q))
-        for a in range(q):
-            for b in range(a + 1, q):
-                common = (rows[a] & rows[b]).bit_count()
-                expect = lam if (rows[a] >> b) & 1 else mu
-                if common != expect:
-                    ok = False
+        ok = bool((row_popcounts(rows) == degree).all())
+        adjacent = unpack_words(rows, q)
+        for a in range(q - 1):
+            common = row_popcounts(rows[a] & rows[a + 1:])
+            expect = np.where(adjacent[a, a + 1:], lam, mu)
+            if (common != expect).any():
+                ok = False
         instances += 1
         if not ok:
             failures.append(q)

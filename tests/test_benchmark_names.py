@@ -2,12 +2,18 @@
 
 The tracer skips a name that no longer exists, so a rename inside gpaley
 would silently drop that function's series from the per-layer metrics.
+It wraps module attributes, so work routed around a traced name (a
+private kernel called directly, a bound reference kept elsewhere) would
+move that work's time to the caller's self time.
 """
 
 import importlib
 import importlib.util
 import os
 import sys
+
+from gpaley import orbits, paley_graph
+from gpaley.finite_field import build_field
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,3 +38,32 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"gpaley.{mod}"), fn, None)):
             missing.append(name)
     assert not missing, f"traced names missing from gpaley: {missing}"
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_naive_oracle_runs_through_its_traced_names(monkeypatch):
+    counted = _count_calls(monkeypatch, paley_graph, "count_cliques")
+    rows = _count_calls(monkeypatch, paley_graph, "adjacency_rows")
+    g = paley_graph.build_graph(build_field(17, 1), 2)   # fresh: no cached count
+    assert paley_graph.brute_force_K(g, 4).count == 0
+    assert len(counted) == len(rows) == 1
+
+
+def test_orbit_tables_run_through_orbit_decompose(monkeypatch):
+    calls = _count_calls(monkeypatch, orbits, "orbit_decompose")
+    t1 = orbits.generators(5)["T1"]
+    assert orbits.fixed_point_count(t1, 5) == 40
+    assert calls == [(5,)]
+    assert orbits.tables_json(4)["N_k"] == 11
+    assert calls == [(5,), (4,)]

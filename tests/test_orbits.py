@@ -189,6 +189,23 @@ def test_maps_of_another_modulus_are_rejected():
         t1.compose(identity_map(7))
 
 
+def test_fixed_point_count_rejects_a_map_outside_the_group():
+    matrix = np.eye(5, dtype=np.int64)
+    matrix[0, 1] = 1                       # t1 -> t1 + t2 moves X_5 off itself
+    stray = orbits.AffineMap(5, "stray", matrix)
+    assert stray not in generate_group(5)
+    with pytest.raises(ValueError):
+        fixed_point_count(stray, 5)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_stored_fixed_points_match_direct_count(k):
+    block = orbits._xk_block(k)
+    for m in generate_group(k):
+        direct = int((m.apply(block) == block).all(axis=0).sum())
+        assert fixed_point_count(m, k) == direct, (k, m.name)
+
+
 def test_enumeration_grid_is_capped():
     assert 16 ** 5 <= orbits.GRID_LIMIT < 17 ** 5
     for fn in (build_Xk, orbit_decompose,

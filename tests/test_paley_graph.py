@@ -1,9 +1,13 @@
 """Graph construction, the clique-count routes, and the subgraph laws."""
 
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gpaley import paley_graph
+from gpaley import paley_graph, verify
 from gpaley.errors import InvalidCongruence, NonIntegerResult, SizeLimit
 from gpaley.finite_field import build_field
 from gpaley.jacobi import EISENSTEIN, solve_quadform
@@ -13,7 +17,8 @@ from gpaley.paley_graph import (CliqueCountResult, K3_closed, K3_corollary,
                                 adjacency_rows,
                                 brute_force_K, build_graph, build_H, build_H1,
                                 clique_count, count_cliques, h1_edge_count,
-                                h1_vertices, h_edge_count)
+                                h1_vertices, h_edge_count, pack_words,
+                                row_popcounts, unpack_words)
 from gpaley.verify import (check_clique_recursions, check_strong_regularity,
                            check_subgraph_props)
 from helpers import get_field, paley_pairs
@@ -42,7 +47,7 @@ def test_h1_vertices_q13():
 def test_edge_count_G17():
     g = build_graph(get_field(17), 2)
     rows = adjacency_rows(g)
-    edges = sum(r.bit_count() for r in rows) // 2
+    edges = int(row_popcounts(rows).sum()) // 2
     assert edges == 17 * 16 // 4 == 68
 
 
@@ -50,8 +55,8 @@ def test_degree_regular():
     for k, q in paley_pairs(100):
         g = build_graph(get_field(q), k)
         rows = adjacency_rows(g)
-        assert all(r.bit_count() == (q - 1) // k for r in rows)
-        assert all(not (rows[v] >> v) & 1 for v in range(q))
+        assert all(row_popcounts(rows) == (q - 1) // k)
+        assert not unpack_words(rows, q).diagonal().any()
 
 
 def test_invalid_congruence_propagates():
@@ -78,10 +83,81 @@ def test_naive_cap():
 
 def test_count_cliques_complete_graph():
     n = 7
-    rows = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+    rows = pack_words(~np.eye(n, dtype=bool))
     assert count_cliques(rows, 2) == 21
     assert count_cliques(rows, 3) == 35
     assert count_cliques(rows, 4) == 35
+    for n in (64, 65):                           # one word, and one bit past it
+        rows = pack_words(~np.eye(n, dtype=bool))
+        assert [count_cliques(rows, m) for m in (1, 2, 3, 4)] == [
+            math.comb(n, m) for m in (1, 2, 3, 4)], n
+
+
+def _random_symmetric_graph(n, density):
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return upper | upper.T
+
+
+def _reference_cliques(adj, m):
+    """K_m by itertools.combinations of each vertex's higher neighbours."""
+    n = len(adj)
+    if m == 1:
+        return n
+    adj = adj.tolist()
+    above = [[u for u in range(v + 1, n) if adj[v][u]] for v in range(n)]
+    return sum(all(adj[a][b] for a, b in itertools.combinations(c, 2))
+               for v in range(n) for c in itertools.combinations(above[v], m - 1))
+
+
+# n below, at and past multiples of the 64-bit word of the oracle
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 200])
+def test_count_cliques_at_word_boundaries(n):
+    adj = _random_symmetric_graph(n, 0.2)
+    rows = pack_words(adj)
+    assert rows.shape == (n, -(-n // 64))
+    for m in (1, 2, 3, 4):
+        assert count_cliques(rows, m) == _reference_cliques(adj, m), (n, m)
+
+
+def test_count_cliques_empty_graph():
+    rows = pack_words(np.zeros((0, 0), dtype=bool))
+    assert [count_cliques(rows, m) for m in (1, 2, 3, 4)] == [0, 0, 0, 0]
+    with pytest.raises(ValueError):
+        count_cliques(rows, 5)
+
+
+def test_count_cliques_byte_lookup_popcount(monkeypatch):
+    # the path taken on numpy < 2.0, which has no np.bitwise_count
+    monkeypatch.setattr(paley_graph, "_bitwise_count",
+                        paley_graph._byte_lookup_count)
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    adj = _random_symmetric_graph(129, 0.2)
+    rows = pack_words(adj)
+    for m in (2, 3, 4):
+        assert count_cliques(rows, m) == _reference_cliques(adj, m), m
+    rows = pack_words(~np.eye(65, dtype=bool))  # full bytes, rare at random
+    assert [count_cliques(rows, m) for m in (2, 3, 4)] == [
+        math.comb(65, m) for m in (2, 3, 4)]
+    g = build_graph(build_field(29, 1), 2)       # a fresh field: no cached count
+    assert [brute_force_K(g, m).count for m in (3, 4)] == [406, 203]
+
+
+NAIVE_PEAK_BUDGET_MB = 8
+
+
+def test_count_cliques_memory_is_blocked():
+    # dense rows at q = 997: gathering up[u] for all 248k edges at once
+    # would take about 30 MiB
+    rows = adjacency_rows(build_graph(get_field(997), 2))
+    tracemalloc.start()
+    try:
+        count = count_cliques(rows, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 997 * 996 * (997 - 5) // 48
+    assert peak < NAIVE_PEAK_BUDGET_MB * 2 ** 20
 
 
 def test_subgraph_method_matches_naive():
@@ -188,13 +264,31 @@ def test_strong_regularity():
     assert res.passed, res.detail
 
 
+def test_strong_regularity_catches_a_degree_preserving_switch(monkeypatch):
+    # swap edges ab, cd for ac, bd: every degree stays (q-1)/2, but the
+    # common-neighbour counts of G_2(13) no longer take just two values
+    def switched(g):
+        adj = unpack_words(adjacency_rows(g), g.q)
+        if g.q == 13:
+            a, b, c, d = next(
+                (a, b, c, d)
+                for a, b, c, d in itertools.permutations(range(g.q), 4)
+                if adj[a, b] and adj[c, d] and not adj[a, c] and not adj[b, d])
+            adj[[a, b, c, d], [b, a, d, c]] = False
+            adj[[a, c, b, d], [c, a, d, b]] = True
+        assert (adj.sum(axis=1) == (g.q - 1) // 2).all()
+        return pack_words(adj)
+
+    monkeypatch.setattr(verify, "adjacency_rows", switched)
+    res = check_strong_regularity(q_limit=13)
+    assert not res.passed and "[13]" in res.detail, res.detail
+
+
 # the H1 kernel holds at most 2^20 pair cells (about 5 MiB) per row block
 K4_SUBGRAPH_PEAK_BUDGET_MB = 16
 
 
 def test_K4_subgraph_memory_is_blocked():
-    import tracemalloc
-
     g = build_graph(get_field(6561), 2)          # GF(3^8)
     tracemalloc.start()
     try:
