@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .errors import GPaleyError
 from .finite_field import DEFAULT_SIZE_LIMIT, build_field, split_prime_power
@@ -27,19 +26,9 @@ from .ramsey_search import CACHE_ENV, search_zeros
 from .verify import run_suite
 
 
-@dataclass
-class RunConfig:
-    size_limit: int = DEFAULT_SIZE_LIMIT
-    oracle_cap: int | None = None     # None keeps the per-order defaults
-    jobs: int = 1
-    cache_path: str | None = None
-    fmt: str = "json"
-    seed: int = 746
-
-
-def _field_for_q(q: int, cfg: RunConfig):
-    p, r = split_prime_power(q)
-    return build_field(p, r, size_limit=cfg.size_limit)
+def _field_for_q(args):
+    p, r = split_prime_power(args.q)
+    return build_field(p, r, size_limit=args.field_cap)
 
 
 def _flat_items(obj, prefix=""):
@@ -56,8 +45,8 @@ def _flat_items(obj, prefix=""):
         yield prefix, obj
 
 
-def emit(obj: dict, cfg: RunConfig) -> None:
-    if cfg.fmt == "csv":
+def emit(obj: dict, fmt: str) -> None:
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["key", "value"])
@@ -69,14 +58,14 @@ def emit(obj: dict, cfg: RunConfig) -> None:
         sys.stdout.write("\n")
 
 
-def cmd_field(args, cfg: RunConfig) -> int:
-    ctx = build_field(args.p, args.r, size_limit=cfg.size_limit)
-    emit(ctx.record(), cfg)
+def cmd_field(args) -> int:
+    ctx = build_field(args.p, args.r, size_limit=args.field_cap)
+    emit(ctx.record(), args.format)
     return 0
 
 
-def cmd_jacobi(args, cfg: RunConfig) -> int:
-    ctx = _field_for_q(args.q, cfg)
+def cmd_jacobi(args) -> int:
+    ctx = _field_for_q(args)
     out = {
         "field": ctx.record(),
         "k": args.k,
@@ -89,12 +78,12 @@ def cmd_jacobi(args, cfg: RunConfig) -> int:
     for kind, cond in ((TWO_SQUARES, 4), (EISENSTEIN, 3), (TWO_TIMES_SQUARE, 8)):
         if args.q % cond == 1:
             out["quadforms"][kind] = solve_quadform(kind, ctx).to_json()
-    emit(out, cfg)
+    emit(out, args.format)
     return 0
 
 
-def cmd_hyp(args, cfg: RunConfig) -> int:
-    ctx = _field_for_q(args.q, cfg)
+def cmd_hyp(args) -> int:
+    ctx = _field_for_q(args)
     t = tuple(int(x) for x in args.t.split(","))
     if len(t) != 5:
         raise GPaleyError("--t needs five comma-separated residues")
@@ -108,37 +97,38 @@ def cmd_hyp(args, cfg: RunConfig) -> int:
         "scaled_value": val.value.to_json(),
         "scale_power": val.scale_power,
         "numeric_embedding": [emb.real, emb.imag],
-    }, cfg)
+    }, args.format)
     return 0
 
 
-def cmd_cliques(args, cfg: RunConfig) -> int:
-    ctx = _field_for_q(args.q, cfg)
-    if args.method == "naive" and cfg.oracle_cap is not None:
-        res = brute_force_K(build_graph(ctx, args.k), args.m, cap=cfg.oracle_cap)
+def cmd_cliques(args) -> int:
+    ctx = _field_for_q(args)
+    if args.method == "naive" and args.oracle_cap is not None:
+        res = brute_force_K(build_graph(ctx, args.k), args.m, cap=args.oracle_cap)
     else:
         res = clique_count(ctx, args.k, args.m, method=args.method)
     out = res.to_json()
     out["field"] = ctx.record()
-    emit(out, cfg)
+    emit(out, args.format)
     return 0
 
 
-def cmd_orbits(args, cfg: RunConfig) -> int:
-    emit(tables_json(args.k), cfg)
+def cmd_orbits(args) -> int:
+    emit(tables_json(args.k), args.format)
     return 0
 
 
-def cmd_ramsey(args, cfg: RunConfig) -> int:
-    report = search_zeros(args.k, args.m, args.qmax, jobs=cfg.jobs,
-                          cache_path=cfg.cache_path, seed=cfg.seed)
-    emit(report.to_json(), cfg)
+def cmd_ramsey(args) -> int:
+    report = search_zeros(args.k, args.m, args.qmax, jobs=args.jobs,
+                          cache_path=args.cache or os.environ.get(CACHE_ENV),
+                          seed=args.seed)
+    emit(report.to_json(), args.format)
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     profile = "paper" if args.paper else "quick"
-    results = run_suite(profile=profile, jobs=cfg.jobs, seed=cfg.seed)
+    results = run_suite(profile=profile, jobs=args.jobs, seed=args.seed)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]
@@ -209,16 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        size_limit=args.field_cap,
-        oracle_cap=args.oracle_cap,
-        jobs=args.jobs,
-        cache_path=args.cache or os.environ.get(CACHE_ENV),
-        fmt=args.format,
-        seed=args.seed,
-    )
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except (GPaleyError, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -419,3 +419,15 @@ def split_prime_power(q: int) -> tuple[int, int]:
         raise ValueError(f"{q} is not a prime power")
     ((p, r),) = fac.items()
     return p, r
+
+
+def prime_powers(q_max: int) -> list[int]:
+    """The prime powers 2 <= q <= q_max, ascending."""
+    out = []
+    for p in range(2, q_max + 1):
+        if is_prime(p):
+            q = p
+            while q <= q_max:
+                out.append(q)
+                q *= p
+    return sorted(out)

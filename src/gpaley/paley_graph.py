@@ -217,23 +217,6 @@ def subgraph_masks(g: PaleyGraph, verts: list[int]) -> np.ndarray:
     return rows
 
 
-def _induced_edges(g: PaleyGraph, verts: list[int]) -> list[tuple[int, int]]:
-    adjacent = unpack_words(subgraph_masks(g, verts), len(verts))
-    i, j = np.nonzero(np.triu(adjacent, 1))
-    v = np.asarray(verts, dtype=np.int64)
-    return list(zip(v[i].tolist(), v[j].tolist()))
-
-
-def build_H(g: PaleyGraph):
-    verts = list(g.S)
-    return verts, _induced_edges(g, verts)
-
-
-def build_H1(g: PaleyGraph):
-    verts = h1_vertices(g)
-    return verts, _induced_edges(g, verts)
-
-
 def _edge_count(table: np.ndarray, t: np.ndarray) -> int:
     """Edges among the vertices with distinct exponents t: pairs i < j with
     T[t_j - t_i].

@@ -1,10 +1,13 @@
 """Scans of admissible q for zero clique counts and the implied Ramsey bounds.
 
 A zero count K_m(G_k(q)) = 0 certifies q < R_k(m), so each search reports
-the largest zero q found and the bound (zero + 1).  The m = 4 scans use the
-near-linear subgraph route; the hypergeometric formulas re-verify a seeded
-10% sample of the scanned range below their size caps, and every zero found
-under the naive oracle's cap is confirmed by direct enumeration.
+the largest zero q found and the bound (zero + 1).  Each q is one step on
+one field build: the count through clique_count's auto route (subgraph for
+m = 4, the R_k closed form for m = 3), then that q's checks on the same
+field.  The hypergeometric formulas recount a seeded 10% sample of the
+scanned range below their size caps, and the naive oracle recounts every
+zero under its cap.  The field build is deterministic, so a rebuilt field
+would be byte-identical and sharing one gives up no independence.
 
 Results append to a JSON Lines cache, one record per (k, q, m), with counts
 as decimal strings and the full field construction record for replay.
@@ -17,17 +20,19 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .errors import CrossCheckMismatch, InvalidCongruence, MismatchAgainstPaper
-from .finite_field import (build_field, is_prime, paley_congruence,
+from .finite_field import (build_field, paley_congruence, prime_powers,
                            split_prime_power)
 from .hypergeometric import HIST_K_CAP
-from .paley_graph import (K3_ORACLE_CAP, K4_ORACLE_CAP, K3_closed,
-                          K3_corollary, K4_corollary, K4_subgraph_method,
-                          K4_thm1, K4_thm2, brute_force_K, build_graph)
+from .paley_graph import (K3_ORACLE_CAP, K4_ORACLE_CAP, CliqueCountResult,
+                          K3_corollary, K4_corollary, K4_thm1, K4_thm2,
+                          brute_force_K, build_graph, clique_count)
 
 THM2_CROSSCHECK_CAP = 600
+ORACLE_CAP = {3: K3_ORACLE_CAP, 4: K4_ORACLE_CAP}
 CACHE_ENV = "GPALEY_CACHE"
 
 # (m, k) -> (paper bound, witness q); the k = 5, 6 witnesses are bound - 1,
@@ -45,16 +50,7 @@ STATED_QMAX = {(4, 2): 40, (4, 3): 230, (4, 4): 6306}
 
 def admissible_q(k: int, q_max: int) -> list[int]:
     """Prime powers q <= q_max with q = 1 mod k (even q) or mod 2k (odd q)."""
-    out = []
-    for p in range(2, q_max + 1):
-        if not is_prime(p):
-            continue
-        q = p
-        while q <= q_max:
-            if paley_congruence(k, q):
-                out.append(q)
-            q *= p
-    return sorted(out)
+    return [q for q in prime_powers(q_max) if paley_congruence(k, q)]
 
 
 @dataclass(frozen=True)
@@ -97,30 +93,16 @@ class SearchReport:
         }
 
 
-def _count_one(k: int, q: int, m: int) -> tuple[int, str, dict]:
-    p, r = split_prime_power(q)
-    ctx = build_field(p, r)
-    if m == 4:
-        return K4_subgraph_method(build_graph(ctx, k)).count, "subgraph", ctx.record()
-    return K3_closed(ctx, k).count, "thm", ctx.record()
-
-
-def _search_worker(args: tuple[int, int, int]) -> SearchRecord:
-    k, q, m = args
-    t0 = time.perf_counter()
-    count, method, record = _count_one(k, q, m)
-    return SearchRecord(q, count, method, time.perf_counter() - t0, record)
-
-
-def _load_cache(path: str) -> dict:
+def _load_cache(path: str | None) -> dict:
     out = {}
     if path and os.path.exists(path):
         with open(path) as fh:
             for line in fh:
                 try:
                     rec = json.loads(line)
-                    out[(rec["k"], rec["q"], rec["m"])] = (
-                        int(rec["count"]), rec["method"], rec["field"])
+                    out[(rec["k"], rec["q"], rec["m"])] = SearchRecord(
+                        rec["q"], int(rec["count"]), rec["method"], 0.0,
+                        rec["field"])
                 except (ValueError, TypeError, KeyError):
                     continue          # blank or torn line: that q is recomputed
     return out
@@ -139,95 +121,102 @@ def _append_cache(path: str, k: int, m: int, fresh: list[SearchRecord]) -> None:
         fh.write(text.encode())
 
 
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise CrossCheckMismatch(message)
+def _require(check: CliqueCountResult, rec: SearchRecord) -> None:
+    if check.count != rec.count:
+        raise CrossCheckMismatch(
+            f"{check.method} mismatch at q={rec.q}: {check.count} against "
+            f"the {rec.method} count {rec.count}")
 
 
-def _cross_check(k: int, m: int, qs: list[int], counts: dict[int, int],
-                 seed: int) -> None:
-    """Re-derive a seeded 10% sample through the independent formula routes."""
-    rng = random.Random(seed)
-    eligible = [q for q in qs if q <= THM2_CROSSCHECK_CAP]
-    if not eligible:
-        return
-    sample = sorted(rng.sample(eligible, max(1, len(eligible) // 10)))
-    for q in sample:
-        p, r = split_prime_power(q)
-        ctx = build_field(p, r)
+def _search_q(args: tuple) -> SearchRecord:
+    """One q of a search: its count and its checks on one field build.
+
+    args is (k, q, m, rec, sampled).  With rec None, q is counted through
+    clique_count's auto route; otherwise rec is a cached record, taken as
+    it is.  On the same field, a sampled q is recounted by each formula
+    route that applies, and by the naive oracle for m = 3; a zero count
+    under the naive cap is recounted by the oracle.  The record is returned
+    only when every recount agrees."""
+    k, q, m, rec, sampled = args
+    t0 = time.perf_counter()
+    ctx = build_field(*split_prime_power(q))
+    if rec is None:
+        res = clique_count(ctx, k, m)
+        rec = SearchRecord(q, res.count, res.method, time.perf_counter() - t0,
+                           ctx.record())
+    if sampled:
+        routes = []
         if m == 4:
-            _require(K4_thm2(ctx, k).count == counts[q], f"thm2 mismatch at q={q}")
+            routes.append(K4_thm2)
             if k <= HIST_K_CAP:       # thm1 reads the k^5-bin histogram
-                _require(K4_thm1(ctx, k).count == counts[q], f"thm1 mismatch at q={q}")
-            if k in (2, 3, 4):
-                _require(K4_corollary(ctx, k).count == counts[q],
-                         f"corollary mismatch at q={q}")
-        else:
-            if k in (2, 3, 4):
-                _require(K3_corollary(ctx, k).count == counts[q],
-                         f"corollary mismatch at q={q}")
-            if q <= K3_ORACLE_CAP:
-                g = build_graph(ctx, k)
-                _require(brute_force_K(g, 3).count == counts[q],
-                         f"naive mismatch at q={q}")
-
-
-def _confirm_zeros(k: int, m: int, zero_qs: list[int]) -> None:
-    cap = K4_ORACLE_CAP if m == 4 else K3_ORACLE_CAP
-    for q in zero_qs:
-        if q > cap:
-            continue
-        p, r = split_prime_power(q)
-        g = build_graph(build_field(p, r), k)
-        _require(brute_force_K(g, m).count == 0,
-                 f"oracle contradicts zero at q={q}")
+                routes.append(K4_thm1)
+        if k in (2, 3, 4):
+            routes.append(K4_corollary if m == 4 else K3_corollary)
+        for route in routes:
+            _require(route(ctx, k), rec)
+    if q <= ORACLE_CAP[m] and (rec.count == 0 or (sampled and m == 3)):
+        _require(brute_force_K(build_graph(ctx, k), m), rec)
+    return rec
 
 
 def search_zeros(k: int, m: int, q_max: int, *, jobs: int = 1,
-                 cache_path: str | None = None, cross_check: bool = True,
-                 seed: int = 0) -> SearchReport:
+                 cache_path: str | None = None, seed: int = 0) -> SearchReport:
+    """K_m(G_k(q)) for every admissible q <= q_max, each count checked.
+
+    Each q is one _search_q step on one field build, in worker processes
+    when jobs > 1.  Before the scan, a seeded 10% of the q up to
+    THM2_CROSSCHECK_CAP are drawn.  For m = 4 those are recounted by thm2,
+    by thm1 when k <= HIST_K_CAP and by the corollary when k is 2, 3 or 4;
+    for m = 3 by the corollary when k is 2, 3 or 4 and by the naive oracle.
+    Every zero count up to ORACLE_CAP[m] is recounted by the naive oracle.
+
+    A cached record is reused without building its field, unless its q is
+    sampled or it is a zero up to the cap: then it goes through the same
+    checks, with the cached count in place of a fresh one.  A recount that
+    disagrees raises CrossCheckMismatch.  Only fresh records whose checks
+    passed are appended to the cache, so a count that failed its checks is
+    never cached.  Any other per-q error stops the scan: the report is
+    partial, holding the steps finished before it and the cached records
+    that needed no step.
+    """
     if m not in (3, 4):
         raise ValueError("clique order must be 3 or 4")
     if k < 2:
         raise InvalidCongruence(f"k={k} must be at least 2")
     qs = admissible_q(k, q_max)
-    cache = _load_cache(cache_path) if cache_path else {}
-    hits = {q: cache[(k, q, m)] for q in qs if (k, q, m) in cache}
-    todo = [q for q in qs if q not in hits]
+    eligible = [q for q in qs if q <= THM2_CROSSCHECK_CAP]
+    sample = set(random.Random(seed).sample(
+        eligible, max(1, len(eligible) // 10)) if eligible else ())
+    cache = _load_cache(cache_path)
 
-    results: dict[int, SearchRecord] = {
-        q: SearchRecord(q, count, method, 0.0, record)
-        for q, (count, method, record) in hits.items()
-    }
+    results: dict[int, SearchRecord] = {}
+    work = []
+    for q in qs:
+        rec = cache.get((k, q, m))
+        if rec is None or q in sample or (rec.count == 0 and q <= ORACLE_CAP[m]):
+            work.append((k, q, m, rec, q in sample))
+        else:
+            results[q] = rec
     fresh: list[SearchRecord] = []
     error: str | None = None
-    if todo:
-        work = [(k, q, m) for q in todo]
-        rows: list[SearchRecord] = []
-        try:
-            if jobs > 1:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    for rec in pool.map(_search_worker, work, chunksize=8):
-                        rows.append(rec)
-            else:
-                for w in work:
-                    rows.append(_search_worker(w))
-        except Exception as exc:   # abort but keep the completed prefix
-            error = f"{type(exc).__name__}: {exc}"
-        for rec in rows:
-            results[rec.q] = rec
-            fresh.append(rec)
-    if cache_path and fresh:
-        _append_cache(cache_path, k, m, sorted(fresh, key=lambda r: r.q))
+    try:
+        with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+            for rec in (pool.map(_search_q, work, chunksize=8) if pool
+                        else map(_search_q, work)):
+                results[rec.q] = rec
+                if (k, rec.q, m) not in cache:
+                    fresh.append(rec)
+    except CrossCheckMismatch:
+        raise
+    except Exception as exc:   # abort but keep the completed prefix
+        error = f"{type(exc).__name__}: {exc}"
+    finally:
+        if cache_path and fresh:
+            _append_cache(cache_path, k, m, fresh)
 
-    report = SearchReport(k=k, m=m, q_max=q_max,
-                          records=[results[q] for q in qs if q in results],
-                          partial=error is not None, error=error)
-    if cross_check and not report.partial:
-        counts = {q: results[q].count for q in qs}
-        _cross_check(k, m, qs, counts, seed)
-        _confirm_zeros(k, m, report.zero_qs)
-    return report
+    return SearchReport(k=k, m=m, q_max=q_max,
+                        records=[results[q] for q in qs if q in results],
+                        partial=error is not None, error=error)
 
 
 def paper_bounds_suite(*, jobs: int = 1, margin: int = 40,

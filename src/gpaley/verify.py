@@ -15,7 +15,7 @@ import numpy as np
 
 from .characters import MultChar, canonical_char, trivial_char
 from .cyclotomic import CycInt
-from .finite_field import build_field, paley_congruence, split_prime_power
+from .finite_field import build_field, prime_powers, split_prime_power
 from .hypergeometric import (check_reduction, check_transformation,
                              f21_definitional_numeric, f21_scaled,
                              f32_definitional_numeric, f32_full_grid_sum,
@@ -27,10 +27,10 @@ from .orbits import (build_Xk, burnside_Nk, fixed_point_closed_forms,
                      orbit_decompose, xk_closed_form)
 from .paley_graph import (K3_closed, K3_corollary, K4_corollary,
                           K4_subgraph_method, K4_thm1, K4_thm2, adjacency_rows,
-                          brute_force_K, build_H, build_H1, build_graph,
+                          brute_force_K, build_graph, clique_count,
                           count_cliques, h1_vertices, row_popcounts,
                           subgraph_masks, unpack_words)
-from .ramsey_search import paper_bounds_suite, search_zeros
+from .ramsey_search import admissible_q, paper_bounds_suite, search_zeros
 
 ACCEPTANCE_QS = (13, 16, 17, 25, 27, 37, 41, 49, 61)
 IDENTITY_SEED = 746
@@ -56,17 +56,11 @@ def field_for(q: int, alt: bool = False):
     return _FIELDS[key]
 
 
-def valid_pairs(q_limit: int, ks=(2, 3, 4, 5, 6), qs=None):
-    """All (k, q) with the Paley congruence, q a prime power."""
-    out = []
-    q_list = qs if qs is not None else range(3, q_limit + 1)
-    for q in q_list:
-        try:
-            split_prime_power(q)
-        except ValueError:
-            continue
-        out += [(k, q) for k in ks if paley_congruence(k, q)]
-    return out
+def valid_pairs(q_limit: int, ks=(2, 3, 4, 5, 6)):
+    """All (k, q) with the Paley congruence, q a prime power, by q and then
+    in ks order (the sort is stable)."""
+    return sorted(((k, q) for k in ks for q in admissible_q(k, q_limit)),
+                  key=lambda kq: kq[1])
 
 
 def _result(name: str, failures: list, instances: int, minimum: int = 1) -> CheckResult:
@@ -114,11 +108,7 @@ def check_paper_zeros() -> CheckResult:
              (2, 5, 3), (3, 16, 3), (4, 41, 3)]
     failures = []
     for k, q, m in cases:
-        ctx = field_for(q)
-        if m == 4:
-            count = K4_subgraph_method(build_graph(ctx, k)).count
-        else:
-            count = K3_closed(ctx, k).count
+        count = clique_count(field_for(q), k, m).count
         if count != 0:
             failures.append((k, q, m, count))
     return _result("published zero counts", failures, len(cases))
@@ -288,11 +278,7 @@ def check_quadform_lemmas(q_limit: int = 500) -> CheckResult:
     """Order 3/4/8 Jacobi-sum evaluations against the quadratic forms,
     all branches of the prime splitting included."""
     failures, instances = [], 0
-    for q in range(4, q_limit + 1):
-        try:
-            p, r = split_prime_power(q)
-        except ValueError:
-            continue
+    for q in prime_powers(q_limit):
         ctx = None
         if q % 3 == 1:
             ctx = field_for(q)
@@ -409,13 +395,8 @@ def check_exact_vs_numeric(seed: int = IDENTITY_SEED, q_limit: int = 61,
     orders satisfying the graph congruence."""
     rng = random.Random(seed)
     failures, instances = [], 0
-    divisor_pairs = []
-    for q in range(4, q_limit + 1):
-        try:
-            split_prime_power(q)
-        except ValueError:
-            continue
-        divisor_pairs += [(k, q) for k in range(2, 9) if (q - 1) % k == 0]
+    divisor_pairs = [(k, q) for q in prime_powers(q_limit) if q > 3
+                     for k in range(2, 9) if (q - 1) % k == 0]
     for k, q in divisor_pairs:
         ctx = field_for(q)
         chi = canonical_char(ctx, k)
@@ -444,29 +425,22 @@ def check_subgraph_props(q_limit: int = 61, ks=(2, 3, 4, 5, 6),
     for k, q in valid_pairs(q_limit, ks):
         ctx = field_for(q)
         g = build_graph(ctx, k)
-        hv, he = build_H(g)
-        h1v, h1e = build_H1(g)
+        deg = row_popcounts(subgraph_masks(g, list(g.S)))
+        h1v = h1_vertices(g)
+        deg1 = row_popcounts(subgraph_masks(g, h1v))
         j0 = J0(ctx, k)
-        deg = {a: 0 for a in hv}
-        for a, b in he:
-            deg[a] += 1
-            deg[b] += 1
         instances += 4
-        if len(hv) != (q - 1) // k:
+        if len(g.S) != (q - 1) // k:
             failures.append(("(a)", k, q))
-        if any(d != j0 // (k * k) for d in deg.values()) or j0 % (k * k):
+        if (deg != j0 // (k * k)).any() or j0 % (k * k):
             failures.append(("(b)", k, q))
-        if len(he) * 2 * k ** 3 != (q - 1) * j0:
+        if int(deg.sum()) * k ** 3 != (q - 1) * j0:
             failures.append(("(c)", k, q))
         if len(h1v) * k * k != j0:
             failures.append(("(d)", k, q))
         if f21_grid:
             chi = canonical_char(ctx, k)
-            deg1 = {a: 0 for a in h1v}
-            for a, b in h1e:
-                deg1[a] += 1
-                deg1[b] += 1
-            for a in h1v:
+            for a, d1 in zip(h1v, deg1.tolist()):
                 total = CycInt.zero(k)
                 for t1 in range(k):
                     for t2 in range(k):
@@ -474,10 +448,10 @@ def check_subgraph_props(q_limit: int = 61, ks=(2, 3, 4, 5, 6),
                             total = total + f21_scaled(chi ** t1, chi ** t2, chi ** t3,
                                                        lam=a, conductor=k).value
                 instances += 1
-                if total.as_integer() != deg1[a] * k ** 3:
+                if total.as_integer() != d1 * k ** 3:
                     failures.append(("(e)", k, q, a))
         instances += 1
-        if f32_full_grid_sum(ctx, k).as_integer() != 2 * k ** 5 * len(h1e):
+        if f32_full_grid_sum(ctx, k).as_integer() != k ** 5 * int(deg1.sum()):
             failures.append(("(f)", k, q))
     return _result("subgraph vertex/degree/edge laws", failures, instances, minimum=50)
 
@@ -511,13 +485,7 @@ def check_clique_recursions(q_limit: int = 200, ks=(2, 3, 4)) -> CheckResult:
 
 def check_strong_regularity(q_limit: int = 101) -> CheckResult:
     failures, instances = [], 0
-    for q in range(5, q_limit + 1):
-        try:
-            split_prime_power(q)
-        except ValueError:
-            continue
-        if q % 4 != 1:
-            continue
+    for q in admissible_q(2, q_limit):
         ctx = field_for(q)
         g = build_graph(ctx, 2)
         rows = adjacency_rows(g)

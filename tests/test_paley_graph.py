@@ -15,10 +15,10 @@ from gpaley.paley_graph import (CliqueCountResult, K3_closed, K3_corollary,
                                 K4_corollary, K4_subgraph_method, K4_thm1,
                                 K4_thm2, _edge_count, _exact_div,
                                 adjacency_rows,
-                                brute_force_K, build_graph, build_H, build_H1,
-                                clique_count, count_cliques, h1_edge_count,
-                                h1_vertices, h_edge_count, pack_words,
-                                row_popcounts, unpack_words)
+                                brute_force_K, build_graph, clique_count,
+                                count_cliques, h1_edge_count, h1_vertices,
+                                h_edge_count, pack_words, row_popcounts,
+                                subgraph_masks, unpack_words)
 from gpaley.verify import (check_clique_recursions, check_strong_regularity,
                            check_subgraph_props)
 from helpers import get_field, paley_pairs
@@ -26,22 +26,18 @@ from helpers import get_field, paley_pairs
 
 def test_h_vertices_q13():
     g = build_graph(get_field(13), 2)
-    verts, edges = build_H(g)
+    verts = list(g.S)
     assert verts == [1, 3, 4, 9, 10, 12]
     assert len(verts) == (13 - 1) // 2
-    deg = {v: 0 for v in verts}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    assert len(set(deg.values())) == 1   # H is regular
+    deg = row_popcounts(subgraph_masks(g, verts))
+    assert len(set(deg.tolist())) == 1   # H is regular
 
 
 def test_h1_vertices_q13():
     g = build_graph(get_field(13), 2)
     assert h1_vertices(g) == [4, 10]
-    verts, edges = build_H1(g)
-    assert verts == [4, 10]
-    assert len(edges) == (1 if g.in_S[g.ctx.sub(10, 4)] else 0)
+    edges = int(row_popcounts(subgraph_masks(g, h1_vertices(g))).sum()) // 2
+    assert edges == (1 if g.in_S[g.ctx.sub(10, 4)] else 0)
 
 
 def test_edge_count_G17():

@@ -28,6 +28,24 @@ def test_admissible_q_congruences():
             assert q % (k if q % 2 == 0 else 2 * k) == 1
 
 
+def test_valid_pairs_match_a_brute_force_enumeration():
+    from gpaley.finite_field import paley_congruence, split_prime_power
+    from gpaley.verify import valid_pairs
+
+    def brute_force(ks):
+        out = []
+        for q in range(3, 301):
+            try:
+                split_prime_power(q)
+            except ValueError:
+                continue
+            out += [(k, q) for k in ks if paley_congruence(k, q)]
+        return out
+
+    assert valid_pairs(300) == brute_force((2, 3, 4, 5, 6))
+    assert valid_pairs(300, ks=(4, 2)) == brute_force((4, 2))   # ks order kept
+
+
 def test_search_k3_m4():
     rep = search_zeros(3, 4, 230)
     assert rep.bound == 128
@@ -113,14 +131,14 @@ def test_bound_property_requires_zeros():
 def test_partial_report_on_per_q_error(monkeypatch):
     from gpaley import ramsey_search
 
-    real = ramsey_search._search_worker
+    real = ramsey_search._search_q
 
     def explode_at_13(args):
         if args[1] >= 13:
             raise RuntimeError("synthetic failure")
         return real(args)
 
-    monkeypatch.setattr(ramsey_search, "_search_worker", explode_at_13)
+    monkeypatch.setattr(ramsey_search, "_search_q", explode_at_13)
     rep = ramsey_search.search_zeros(2, 3, 30, jobs=1)
     assert rep.partial
     assert "synthetic failure" in rep.error
@@ -153,12 +171,9 @@ def test_cache_with_truncated_last_line(tmp_path):
         assert len(fh.readlines()) == n_lines
 
 
-def test_tampered_cache_count_raises_cross_check_mismatch(tmp_path):
-    from gpaley.errors import CrossCheckMismatch, GPaleyError
+def _tamper_first_nonzero(path, rep):
     from gpaley.paley_graph import K4_ORACLE_CAP
 
-    path = str(tmp_path / "cache.jsonl")
-    rep = search_zeros(3, 4, 100, cache_path=path)
     victim = next(r.q for r in rep.records if r.count > 0)
     assert victim <= K4_ORACLE_CAP
     with open(path) as fh:
@@ -168,6 +183,82 @@ def test_tampered_cache_count_raises_cross_check_mismatch(tmp_path):
             rec["count"] = "0"
     with open(path, "w") as fh:
         fh.writelines(json.dumps(rec) + "\n" for rec in lines)
+
+
+def test_tampered_cache_count_raises_cross_check_mismatch(tmp_path):
+    from gpaley.errors import CrossCheckMismatch, GPaleyError
+
+    path = str(tmp_path / "cache.jsonl")
+    _tamper_first_nonzero(path, search_zeros(3, 4, 100, cache_path=path))
     with pytest.raises(CrossCheckMismatch):
         search_zeros(3, 4, 100, cache_path=path)
     assert issubclass(CrossCheckMismatch, GPaleyError)
+
+
+def test_tampered_cache_raises_from_worker_processes(tmp_path):
+    from gpaley.errors import CrossCheckMismatch
+
+    path = str(tmp_path / "cache.jsonl")
+    _tamper_first_nonzero(path, search_zeros(3, 4, 100, cache_path=path))
+    with pytest.raises(CrossCheckMismatch):
+        search_zeros(3, 4, 100, cache_path=path, jobs=2)
+
+
+def _cached_qs(path):
+    with open(path) as fh:
+        return {json.loads(line)["q"] for line in fh}
+
+
+def test_count_that_fails_its_check_is_not_cached(monkeypatch, tmp_path):
+    from gpaley import paley_graph
+    from gpaley.errors import CrossCheckMismatch
+
+    # q = 67 is in the seed-0 sample of the k = 3 search to 100; its count
+    # is 0, and 6 H1 edges keep the subgraph route's division exact
+    real = paley_graph.h1_edge_count
+    monkeypatch.setattr(paley_graph, "h1_edge_count",
+                        lambda g: real(g) + (6 if g.q == 67 else 0))
+    path = str(tmp_path / "cache.jsonl")
+    with pytest.raises(CrossCheckMismatch, match="q=67"):
+        search_zeros(3, 4, 100, cache_path=path)
+    assert 67 not in _cached_qs(path)
+    monkeypatch.undo()
+    # a rerun that does not sample 67 still counts it, and finds the zero
+    assert 67 in search_zeros(3, 4, 100, cache_path=path, seed=5).zero_qs
+
+
+def _build_calls(monkeypatch):
+    from gpaley import ramsey_search
+
+    calls = []
+    real = ramsey_search.build_field
+
+    def counted(p, r, **kwargs):
+        calls.append(p ** r)
+        return real(p, r, **kwargs)
+
+    monkeypatch.setattr(ramsey_search, "build_field", counted)
+    return calls
+
+
+def test_each_fresh_q_builds_its_field_once(monkeypatch):
+    calls = _build_calls(monkeypatch)
+    rep = search_zeros(3, 4, 230)
+    assert calls == admissible_q(3, 230) == [r.q for r in rep.records]
+
+
+def test_cache_hits_build_only_the_checked_q(monkeypatch, tmp_path):
+    import random
+
+    from gpaley.paley_graph import K4_ORACLE_CAP
+    from gpaley.ramsey_search import THM2_CROSSCHECK_CAP
+
+    path = str(tmp_path / "cache.jsonl")
+    first = search_zeros(3, 4, 230, cache_path=path)
+    calls = _build_calls(monkeypatch)
+    second = search_zeros(3, 4, 230, cache_path=path)
+    assert _records(second) == _records(first)
+    eligible = [q for q in admissible_q(3, 230) if q <= THM2_CROSSCHECK_CAP]
+    sample = random.Random(0).sample(eligible, len(eligible) // 10)
+    zeros = [q for q in first.zero_qs if q <= K4_ORACLE_CAP]
+    assert calls == sorted(set(sample) | set(zeros))
