@@ -21,7 +21,7 @@ from .hypergeometric import f32_indexed
 from .jacobi import (EISENSTEIN, J0, JJ0, TWO_SQUARES, TWO_TIMES_SQUARE, R_k,
                      S_k, solve_quadform)
 from .orbits import tables_json
-from .paley_graph import brute_force_K, build_graph, clique_count
+from .paley_graph import ROUTES, brute_force_K, build_graph, clique_count
 from .ramsey_search import CACHE_ENV, search_zeros
 from .verify import run_suite
 
@@ -137,62 +137,63 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--cache", default=None,
-                        help=f"results cache path (default from ${CACHE_ENV})")
-    common.add_argument("--seed", type=int, default=746)
-    common.add_argument("--field-cap", type=int, default=DEFAULT_SIZE_LIMIT)
-    common.add_argument("--oracle-cap", type=int, default=None)
-
     top = argparse.ArgumentParser(prog="gpaley", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     f = sub.add_parser("field", help="field construction record")
     fsub = f.add_subparsers(dest="action", required=True)
-    finfo = fsub.add_parser("info", parents=[common])
+    finfo = fsub.add_parser("info")
     finfo.add_argument("--p", type=int, required=True)
     finfo.add_argument("--r", type=int, default=1)
     finfo.set_defaults(func=cmd_field)
 
-    j = sub.add_parser("jacobi", parents=[common],
-                       help="Jacobi-sum aggregates and quadratic forms")
+    j = sub.add_parser("jacobi", help="Jacobi-sum aggregates and quadratic forms")
     j.add_argument("--q", type=int, required=True)
     j.add_argument("--k", type=int, required=True)
     j.set_defaults(func=cmd_jacobi)
 
-    h = sub.add_parser("hyp", parents=[common], help="scaled 3F2 at character powers")
+    h = sub.add_parser("hyp", help="scaled 3F2 at character powers")
     h.add_argument("--q", type=int, required=True)
     h.add_argument("--k", type=int, required=True)
     h.add_argument("--t", required=True, help="t1,t2,t3,t4,t5")
     h.add_argument("--lambda", dest="lam", type=int, default=None)
     h.set_defaults(func=cmd_hyp)
 
-    c = sub.add_parser("cliques", parents=[common], help="complete subgraph counts")
+    c = sub.add_parser("cliques", help="complete subgraph counts")
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--m", type=int, choices=(3, 4), required=True)
     c.add_argument("--method", default="auto",
-                   choices=("auto", "naive", "subgraph", "thm", "thm1", "thm2", "corollary"))
+                   choices=["auto", *dict.fromkeys(method for _, method in ROUTES)])
+    c.add_argument("--oracle-cap", type=int, default=None,
+                   help="largest q for --method naive")
     c.set_defaults(func=cmd_cliques)
 
-    o = sub.add_parser("orbits", parents=[common], help="X_k, the group, and orbit tables")
+    o = sub.add_parser("orbits", help="X_k, the group, and orbit tables")
     o.add_argument("--k", type=int, required=True)
     o.set_defaults(func=cmd_orbits)
 
-    r = sub.add_parser("ramsey", parents=[common],
-                       help="zero-count search and implied bound")
+    r = sub.add_parser("ramsey", help="zero-count search and implied bound")
+    r.add_argument("--cache", default=None,
+                   help=f"results cache path (default from ${CACHE_ENV})")
     r.add_argument("--k", type=int, required=True)
     r.add_argument("--m", type=int, choices=(3, 4), required=True)
     r.add_argument("--qmax", type=int, required=True)
     r.set_defaults(func=cmd_ramsey)
 
-    v = sub.add_parser("verify", parents=[common],
-                       help="identity and acceptance suites")
+    v = sub.add_parser("verify", help="identity and acceptance suites")
     v.add_argument("--paper", action="store_true",
                    help="full reproduction including searches (minutes)")
     v.set_defaults(func=cmd_verify)
+
+    # each subcommand takes only the shared options its handler reads
+    for p in (finfo, j, h, c, o, r):
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    for p in (finfo, j, h, c):
+        p.add_argument("--field-cap", type=int, default=DEFAULT_SIZE_LIMIT)
+    for p in (r, v):
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--seed", type=int, default=746)
     return top
 
 

@@ -219,6 +219,8 @@ class FieldContext:
     def dlog(self, a: int) -> int:
         if a == 0:
             raise ZeroInput("discrete log of zero")
+        if not 0 < a < self.q:
+            raise ValueError(f"{a} is not an element index of GF({self.q})")
         return self.log_table[a]
 
     def pow_element(self, a: int, e: int) -> int:
@@ -288,17 +290,9 @@ def _element_order_is_maximal(g: int, p: int, r: int, q: int,
                               modulus: list[int], qm1_primes: list[int]) -> bool:
     if r == 1:
         return all(pow(g, (q - 1) // ell, p) != 1 for ell in qm1_primes)
-    for ell in qm1_primes:
-        e = (q - 1) // ell
-        acc, base = 1, g
-        while e:
-            if e & 1:
-                acc = _raw_mul(acc, base, p, r, modulus)
-            base = _raw_mul(base, base, p, r, modulus)
-            e >>= 1
-        if acc == 1:
-            return False
-    return True
+    base = _coeffs(g, p, r)
+    return all(_poly_powmod(base, (q - 1) // ell, modulus, p) != [1]
+               for ell in qm1_primes)
 
 
 def _exp_table(p: int, r: int, modulus: list[int], omega: int) -> np.ndarray:

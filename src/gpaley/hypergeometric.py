@@ -165,10 +165,6 @@ def f32_full_grid_sum(ctx: FieldContext, k: int) -> CycInt:
 # reduction formulae (identities at lambda = 1, denominators cleared by q^2)
 # ---------------------------------------------------------------------------
 
-def _binom_scaled_in(A: MultChar, B: MultChar, c: int) -> CycInt:
-    return binom_symbol_scaled(A, B, conductor=c)
-
-
 def check_reduction(case, params) -> bool:
     """Verify one reduction identity exactly.
 
@@ -181,7 +177,8 @@ def check_reduction(case, params) -> bool:
         A, B, C = params
         c = _conductor(params)
         lhs = f21_scaled(A, B, C, lam=1, conductor=c).value
-        rhs = A.sign_at_minus_one() * _binom_scaled_in(B, A.conj() * C, c)
+        rhs = A.sign_at_minus_one() * binom_symbol_scaled(B, A.conj() * C,
+                                                          conductor=c)
         return lhs == rhs
 
     A, B, C, D, E = params
@@ -192,39 +189,43 @@ def check_reduction(case, params) -> bool:
         if not A.is_trivial:
             raise ShapeMismatch("case 1 needs a trivial first top character")
         rhs = (-f21_scaled(B * D.conj(), C * D.conj(), E * D.conj(), 1, conductor=c).value
-               + _binom_scaled_in(B, D, c) * _binom_scaled_in(C, E, c))
+               + binom_symbol_scaled(B, D, conductor=c)
+               * binom_symbol_scaled(C, E, conductor=c))
     elif case == 2:
         if not B.is_trivial:
             raise ShapeMismatch("case 2 needs a trivial second top character")
         rhs = (A.sign_at_minus_one()
-               * _binom_scaled_in(D, A, c)
+               * binom_symbol_scaled(D, A, conductor=c)
                * f21_scaled(A * D.conj(), C * D.conj(), E * D.conj(), 1, conductor=c).value
-               - D.sign_at_minus_one() * _binom_scaled_in(C, E, c))
+               - D.sign_at_minus_one() * binom_symbol_scaled(C, E, conductor=c))
     elif case == 3:
         if D.m != A.m:
             raise ShapeMismatch("case 3 needs D = A")
-        rhs = (_binom_scaled_in(B, A, c) * f21_scaled(B, C, E, 1, conductor=c).value
+        rhs = (binom_symbol_scaled(B, A, conductor=c)
+               * f21_scaled(B, C, E, 1, conductor=c).value
                - A.conj().sign_at_minus_one()
-               * _binom_scaled_in(C * A.conj(), E * A.conj(), c))
+               * binom_symbol_scaled(C * A.conj(), E * A.conj(), conductor=c))
     elif case == 4:
         if D.m != B.m:
             raise ShapeMismatch("case 4 needs D = B")
         rhs = (-f21_scaled(A, C, E, 1, conductor=c).value
-               + _binom_scaled_in(A * B.conj(), B.conj(), c)
-               * _binom_scaled_in(C * B.conj(), E * B.conj(), c))
+               + binom_symbol_scaled(A * B.conj(), B.conj(), conductor=c)
+               * binom_symbol_scaled(C * B.conj(), E * B.conj(), conductor=c))
     elif case == 5:
         if E.m != B.m:
             raise ShapeMismatch("case 5 needs E = B")
-        rhs = (_binom_scaled_in(C * D.conj(), B * D.conj(), c)
+        rhs = (binom_symbol_scaled(C * D.conj(), B * D.conj(), conductor=c)
                * f21_scaled(A, C, D, 1, conductor=c).value
-               - (B * D).sign_at_minus_one() * _binom_scaled_in(A * B.conj(), B.conj(), c))
+               - (B * D).sign_at_minus_one()
+               * binom_symbol_scaled(A * B.conj(), B.conj(), conductor=c))
     elif case == 6:
         if E.m != (A * B * C * D.conj()).m:
             raise ShapeMismatch("case 6 needs E = ABC/D")
         rhs = ((B * C).sign_at_minus_one()
-               * _binom_scaled_in(C, D * A.conj(), c)
-               * _binom_scaled_in(B, D * C.conj(), c)
-               - (B * D).sign_at_minus_one() * _binom_scaled_in(D * B.conj(), A, c))
+               * binom_symbol_scaled(C, D * A.conj(), conductor=c)
+               * binom_symbol_scaled(B, D * C.conj(), conductor=c)
+               - (B * D).sign_at_minus_one()
+               * binom_symbol_scaled(D * B.conj(), A, conductor=c))
     else:
         raise ValueError(f"unknown reduction case {case!r}")
     return lhs == rhs

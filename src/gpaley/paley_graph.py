@@ -5,7 +5,7 @@ The K4 routes and the kernels they read:
   naive      count_cliques over the packed uint64 rows of adjacency_rows:
              popcounts of ANDs of upper-triangle rows over edges (K3) and
              triangles (K4), in blocks of at most BLOCK_ELEMENTS bytes;
-             the oracle.
+             the oracle, for q <= ORACLE_CAP[m].
   subgraph   K4 = q(q-1)/(12k) * #E(H1), edges by _edge_count, a cyclic
              correlation of packed uint64 bit rows: a phase table of about
              16 |S| bytes plus row blocks of at most BLOCK_ELEMENTS bytes,
@@ -19,8 +19,16 @@ The K4 routes and the kernels they read:
   corollary  k = 2, 3, 4 closed forms from quadratic forms; k = 3, 4 also
              read 3F2 values from the histogram.
 
-thm1, thm2 and the k = 3, 4 corollaries share residue_histogram, so one
+The K3 routes: thm (the R_k closed form), subgraph (q #E(H) / 3 by
+_edge_count), corollary (k = 2, 3, 4, quadratic forms) and naive.
+
+thm1, thm2 and the k = 3, 4 K4 corollaries share residue_histogram, so one
 fault there moves them together.
+
+ROUTES holds every route by (m, method), and routes_for(k, m, q) the ones
+within their limits; clique_count, verify's cross-method check and the
+searches read them.  A search recounts a sampled q by every other route
+that applies, and a zero by naive when it applies.
 
 Every division the formulas perform is checked exact; a remainder raises
 instead of rounding.
@@ -36,13 +44,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import NonIntegerResult, SizeLimit
 from .finite_field import (FieldContext, residue_mask, row_blocks,
                            validate_paley_params)
-from .hypergeometric import f32_full_grid_sum, f32_indexed
+from .hypergeometric import HIST_K_CAP, f32_full_grid_sum, f32_indexed
 from .jacobi import (EISENSTEIN, TWO_SQUARES, TWO_TIMES_SQUARE, R_k, S_k,
                      solve_quadform)
 from .orbits import orbit_decompose
 
-K3_ORACLE_CAP = 1000
-K4_ORACLE_CAP = 300
+ORACLE_CAP = {3: 1000, 4: 300}    # largest q the naive oracle counts, by m
 
 
 @dataclass(frozen=True)
@@ -177,7 +184,7 @@ def count_cliques(rows: np.ndarray, m: int) -> int:
 
 
 def brute_force_K(g: PaleyGraph, m: int, cap: int | None = None) -> CliqueCountResult:
-    limit = cap if cap is not None else (K3_ORACLE_CAP if m == 3 else K4_ORACLE_CAP)
+    limit = cap if cap is not None else ORACLE_CAP.get(m, ORACLE_CAP[4])
     if g.q > limit:
         raise SizeLimit(f"naive oracle capped at q={limit}, got {g.q}")
     key = ("naive", g.k, m)
@@ -282,6 +289,11 @@ def K4_subgraph_method(g: PaleyGraph) -> CliqueCountResult:
     return CliqueCountResult(g.k, g.q, 4, count, "subgraph")
 
 
+def K3_subgraph_method(g: PaleyGraph) -> CliqueCountResult:
+    count = _exact_div(g.q * h_edge_count(g), 3, "K3 via H edges")
+    return CliqueCountResult(g.k, g.q, 3, count, "subgraph")
+
+
 def K3_closed(ctx: FieldContext, k: int) -> CliqueCountResult:
     validate_paley_params(k, ctx)
     q = ctx.q
@@ -363,30 +375,37 @@ def K4_corollary(ctx: FieldContext, k: int) -> CliqueCountResult:
     return CliqueCountResult(k, q, 4, count, "corollary")
 
 
+# (m, method) -> route(ctx, k).  Each entry looks its function up as a
+# module attribute when called, so a wrapper set on this module (a tracer,
+# a test's counter) sees every call made through the table.
+ROUTES = {
+    (3, "thm"): lambda ctx, k: K3_closed(ctx, k),
+    (3, "subgraph"): lambda ctx, k: K3_subgraph_method(build_graph(ctx, k)),
+    (3, "corollary"): lambda ctx, k: K3_corollary(ctx, k),
+    (3, "naive"): lambda ctx, k: brute_force_K(build_graph(ctx, k), 3),
+    (4, "subgraph"): lambda ctx, k: K4_subgraph_method(build_graph(ctx, k)),
+    (4, "thm2"): lambda ctx, k: K4_thm2(ctx, k),
+    (4, "thm1"): lambda ctx, k: K4_thm1(ctx, k),
+    (4, "corollary"): lambda ctx, k: K4_corollary(ctx, k),
+    (4, "naive"): lambda ctx, k: brute_force_K(build_graph(ctx, k), 4),
+}
+
+
+def routes_for(k: int, m: int, q: int) -> list[str]:
+    """The ROUTES methods for K_m(G_k(q)) that apply within their limits:
+    corollary for k = 2, 3, 4, thm1 for k <= HIST_K_CAP and naive for
+    q <= ORACLE_CAP[m]; the others have none."""
+    applies = {"corollary": k in (2, 3, 4), "thm1": k <= HIST_K_CAP,
+               "naive": q <= ORACLE_CAP[m]}
+    return [method for order, method in ROUTES
+            if order == m and applies.get(method, True)]
+
+
 def clique_count(ctx: FieldContext, k: int, m: int, method: str = "auto") -> CliqueCountResult:
-    """Dispatch used by the CLI; 'auto' picks the scalable exact route."""
-    if m == 3:
-        if method in ("auto", "thm"):
-            return K3_closed(ctx, k)
-        if method == "naive":
-            return brute_force_K(build_graph(ctx, k), 3)
-        if method == "corollary":
-            return K3_corollary(ctx, k)
-        if method == "subgraph":
-            g = build_graph(ctx, k)
-            count = _exact_div(ctx.q * h_edge_count(g), 3, "K3 via H edges")
-            return CliqueCountResult(k, ctx.q, 3, count, "subgraph")
-        raise ValueError(f"unknown K3 method {method!r}")
-    if m == 4:
-        if method in ("auto", "subgraph"):
-            return K4_subgraph_method(build_graph(ctx, k))
-        if method == "naive":
-            return brute_force_K(build_graph(ctx, k), 4)
-        if method == "thm1":
-            return K4_thm1(ctx, k)
-        if method == "thm2":
-            return K4_thm2(ctx, k)
-        if method == "corollary":
-            return K4_corollary(ctx, k)
-        raise ValueError(f"unknown K4 method {method!r}")
-    raise ValueError("clique order must be 3 or 4")
+    """K_m(G_k(q)) by the ROUTES entry (m, method); 'auto' is the scalable
+    exact route, subgraph for m = 4 and thm for m = 3."""
+    if method == "auto":
+        method = "thm" if m == 3 else "subgraph"
+    if (m, method) not in ROUTES:
+        raise ValueError(f"no K{m} route named {method!r}")
+    return ROUTES[m, method](ctx, k)

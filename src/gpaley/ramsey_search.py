@@ -4,10 +4,11 @@ A zero count K_m(G_k(q)) = 0 certifies q < R_k(m), so each search reports
 the largest zero q found and the bound (zero + 1).  Each q is one step on
 one field build: the count through clique_count's auto route (subgraph for
 m = 4, the R_k closed form for m = 3), then that q's checks on the same
-field.  The hypergeometric formulas recount a seeded 10% sample of the
-scanned range below their size caps, and the naive oracle recounts every
-zero under its cap.  The field build is deterministic, so a rebuilt field
-would be byte-identical and sharing one gives up no independence.
+field, by one rule: a q in a seeded 10% sample of the range up to
+THM2_CROSSCHECK_CAP is recounted by every other route of
+paley_graph.routes_for, and a zero by the naive oracle when it applies.
+The field build is deterministic, so a rebuilt field would be
+byte-identical and sharing one gives up no independence.
 
 Results append to a JSON Lines cache, one record per (k, q, m), with counts
 as decimal strings and the full field construction record for replay.
@@ -26,13 +27,9 @@ from dataclasses import dataclass, field
 from .errors import CrossCheckMismatch, InvalidCongruence, MismatchAgainstPaper
 from .finite_field import (build_field, paley_congruence, prime_powers,
                            split_prime_power)
-from .hypergeometric import HIST_K_CAP
-from .paley_graph import (K3_ORACLE_CAP, K4_ORACLE_CAP, CliqueCountResult,
-                          K3_corollary, K4_corollary, K4_thm1, K4_thm2,
-                          brute_force_K, build_graph, clique_count)
+from .paley_graph import ROUTES, CliqueCountResult, clique_count, routes_for
 
 THM2_CROSSCHECK_CAP = 600
-ORACLE_CAP = {3: K3_ORACLE_CAP, 4: K4_ORACLE_CAP}
 CACHE_ENV = "GPALEY_CACHE"
 
 # (m, k) -> (paper bound, witness q); the k = 5, 6 witnesses are bound - 1,
@@ -133,10 +130,9 @@ def _search_q(args: tuple) -> SearchRecord:
 
     args is (k, q, m, rec, sampled).  With rec None, q is counted through
     clique_count's auto route; otherwise rec is a cached record, taken as
-    it is.  On the same field, a sampled q is recounted by each formula
-    route that applies, and by the naive oracle for m = 3; a zero count
-    under the naive cap is recounted by the oracle.  The record is returned
-    only when every recount agrees."""
+    it is.  On the same field, a sampled q is recounted by every route of
+    routes_for other than the record's own, and a zero count by naive when
+    it applies.  The record is returned only when every recount agrees."""
     k, q, m, rec, sampled = args
     t0 = time.perf_counter()
     ctx = build_field(*split_prime_power(q))
@@ -144,18 +140,9 @@ def _search_q(args: tuple) -> SearchRecord:
         res = clique_count(ctx, k, m)
         rec = SearchRecord(q, res.count, res.method, time.perf_counter() - t0,
                            ctx.record())
-    if sampled:
-        routes = []
-        if m == 4:
-            routes.append(K4_thm2)
-            if k <= HIST_K_CAP:       # thm1 reads the k^5-bin histogram
-                routes.append(K4_thm1)
-        if k in (2, 3, 4):
-            routes.append(K4_corollary if m == 4 else K3_corollary)
-        for route in routes:
-            _require(route(ctx, k), rec)
-    if q <= ORACLE_CAP[m] and (rec.count == 0 or (sampled and m == 3)):
-        _require(brute_force_K(build_graph(ctx, k), m), rec)
+    for method in routes_for(k, m, q):
+        if method != rec.method and (sampled or (method == "naive" and rec.count == 0)):
+            _require(ROUTES[m, method](ctx, k), rec)
     return rec
 
 
@@ -165,19 +152,19 @@ def search_zeros(k: int, m: int, q_max: int, *, jobs: int = 1,
 
     Each q is one _search_q step on one field build, in worker processes
     when jobs > 1.  Before the scan, a seeded 10% of the q up to
-    THM2_CROSSCHECK_CAP are drawn.  For m = 4 those are recounted by thm2,
-    by thm1 when k <= HIST_K_CAP and by the corollary when k is 2, 3 or 4;
-    for m = 3 by the corollary when k is 2, 3 or 4 and by the naive oracle.
-    Every zero count up to ORACLE_CAP[m] is recounted by the naive oracle.
+    THM2_CROSSCHECK_CAP are drawn.  One rule checks the counts: a sampled q
+    is recounted by every other method of paley_graph.routes_for(k, m, q),
+    and a zero by the naive oracle when routes_for lists it (q up to
+    ORACLE_CAP[m]).
 
     A cached record is reused without building its field, unless its q is
-    sampled or it is a zero up to the cap: then it goes through the same
-    checks, with the cached count in place of a fresh one.  A recount that
-    disagrees raises CrossCheckMismatch.  Only fresh records whose checks
-    passed are appended to the cache, so a count that failed its checks is
-    never cached.  Any other per-q error stops the scan: the report is
-    partial, holding the steps finished before it and the cached records
-    that needed no step.
+    sampled or it is a zero the oracle can recount: then it goes through
+    the same checks, with the cached count in place of a fresh one.  A
+    recount that disagrees raises CrossCheckMismatch.  Only fresh records
+    whose checks passed are appended to the cache, so a count that failed
+    its checks is never cached.  Any other per-q error stops the scan: the
+    report is partial, holding the steps finished before it and the cached
+    records that needed no step.
     """
     if m not in (3, 4):
         raise ValueError("clique order must be 3 or 4")
@@ -193,7 +180,8 @@ def search_zeros(k: int, m: int, q_max: int, *, jobs: int = 1,
     work = []
     for q in qs:
         rec = cache.get((k, q, m))
-        if rec is None or q in sample or (rec.count == 0 and q <= ORACLE_CAP[m]):
+        if (rec is None or q in sample
+                or (rec.count == 0 and "naive" in routes_for(k, m, q))):
             work.append((k, q, m, rec, q in sample))
         else:
             results[q] = rec

@@ -25,11 +25,11 @@ from .jacobi import (EISENSTEIN, J0, JJ0, TWO_SQUARES, TWO_TIMES_SQUARE, R_k,
 from .orbits import (build_Xk, burnside_Nk, fixed_point_closed_forms,
                      fixed_point_count, generate_group, named_composites,
                      orbit_decompose, xk_closed_form)
-from .paley_graph import (K3_closed, K3_corollary, K4_corollary,
-                          K4_subgraph_method, K4_thm1, K4_thm2, adjacency_rows,
-                          brute_force_K, build_graph, clique_count,
-                          count_cliques, h1_vertices, row_popcounts,
-                          subgraph_masks, unpack_words)
+from .paley_graph import (ROUTES, K3_closed, K4_subgraph_method, K4_thm2,
+                          adjacency_rows, brute_force_K, build_graph,
+                          clique_count, count_cliques, h1_vertices,
+                          routes_for, row_popcounts, subgraph_masks,
+                          unpack_words)
 from .ramsey_search import admissible_q, paper_bounds_suite, search_zeros
 
 ACCEPTANCE_QS = (13, 16, 17, 25, 27, 37, 41, 49, 61)
@@ -82,20 +82,12 @@ def check_cross_method_equality(q_limit: int = 200, ks=(2, 3, 4, 5)) -> CheckRes
     failures, instances = [], 0
     for k, q in valid_pairs(q_limit, ks):
         ctx = field_for(q)
-        g = build_graph(ctx, k)
-        k3 = {"naive": brute_force_K(g, 3).count, "thm": K3_closed(ctx, k).count}
-        if k in (2, 3, 4):
-            k3["corollary"] = K3_corollary(ctx, k).count
-        k4 = {"naive": brute_force_K(g, 4).count,
-              "subgraph": K4_subgraph_method(g).count,
-              "thm1": K4_thm1(ctx, k).count,
-              "thm2": K4_thm2(ctx, k).count}
-        if k in (2, 3, 4):
-            k4["corollary"] = K4_corollary(ctx, k).count
-        for label, counts in (("K3", k3), ("K4", k4)):
+        for m in (3, 4):
+            counts = {method: ROUTES[m, method](ctx, k).count
+                      for method in routes_for(k, m, q)}
             instances += 1
             if len(set(counts.values())) != 1:
-                failures.append((label, k, q, counts))
+                failures.append((f"K{m}", k, q, counts))
     return _result("cross-method equality", failures, instances)
 
 

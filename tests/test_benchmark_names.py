@@ -67,3 +67,19 @@ def test_orbit_tables_run_through_orbit_decompose(monkeypatch):
     assert calls == [(5,)]
     assert orbits.tables_json(4)["N_k"] == 11
     assert calls == [(5,), (4,)]
+
+
+def test_search_checks_reach_routes_by_module_attribute(monkeypatch):
+    import random
+
+    from gpaley.ramsey_search import THM2_CROSSCHECK_CAP, admissible_q, search_zeros
+
+    thm2 = _count_calls(monkeypatch, paley_graph, "K4_thm2")
+    naive = _count_calls(monkeypatch, paley_graph, "brute_force_K")
+    rep = search_zeros(3, 4, 230)
+    eligible = [q for q in admissible_q(3, 230) if q <= THM2_CROSSCHECK_CAP]
+    sample = random.Random(0).sample(eligible, len(eligible) // 10)
+    cap = paley_graph.ORACLE_CAP[4]
+    assert sorted(ctx.q for ctx, _ in thm2) == sorted(sample)
+    assert sorted(g.q for g, _ in naive) == sorted(
+        {q for q in rep.zero_qs + sample if q <= cap})

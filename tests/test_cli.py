@@ -110,6 +110,30 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("orbits", "--k", "3", "--jobs", "2"),
+    ("orbits", "--k", "3", "--cache", "x"),
+    ("verify", "--format", "csv"),
+    ("verify", "--cache", "x"),
+    ("ramsey", "--k", "3", "--m", "4", "--qmax", "50", "--oracle-cap", "5"),
+    ("ramsey", "--k", "3", "--m", "4", "--qmax", "50", "--field-cap", "5"),
+    ("jacobi", "--q", "13", "--k", "2", "--seed", "1"),
+    ("cliques", "--q", "17", "--k", "2", "--m", "4", "--jobs", "2"),
+])
+def test_option_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("lam", ["20", "-1"])
+def test_hyp_lambda_outside_the_field_is_a_json_error(capsys, lam):
+    code, out, err = run_cli(capsys, "hyp", "--q", "13", "--k", "2",
+                             "--t", "1,1,1,0,0", "--lambda", lam)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_verify_wiring(monkeypatch, capsys):
     from gpaley.verify import CheckResult
 

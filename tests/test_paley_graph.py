@@ -17,8 +17,8 @@ from gpaley.paley_graph import (CliqueCountResult, K3_closed, K3_corollary,
                                 adjacency_rows,
                                 brute_force_K, build_graph, clique_count,
                                 count_cliques, h1_edge_count, h1_vertices,
-                                h_edge_count, pack_words, row_popcounts,
-                                subgraph_masks, unpack_words)
+                                h_edge_count, pack_words, routes_for,
+                                row_popcounts, subgraph_masks, unpack_words)
 from gpaley.verify import (check_clique_recursions, check_strong_regularity,
                            check_subgraph_props)
 from helpers import get_field, paley_pairs
@@ -243,6 +243,20 @@ def test_clique_count_dispatch():
     res = clique_count(ctx, 2, 4)
     assert isinstance(res, CliqueCountResult)
     assert res.to_json()["count"] == "0"
+    with pytest.raises(ValueError):
+        clique_count(ctx, 2, 4, method="thm")
+    with pytest.raises(ValueError):
+        clique_count(ctx, 2, 5)
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_routes_for_limits(k):
+    thm1 = ["thm1"] if k <= 8 else []
+    corollary = ["corollary"] if k <= 4 else []
+    assert routes_for(k, 4, 300) == ["subgraph", "thm2", *thm1, *corollary, "naive"]
+    assert routes_for(k, 4, 301) == ["subgraph", "thm2", *thm1, *corollary]
+    assert routes_for(k, 3, 1000) == ["thm", "subgraph", *corollary, "naive"]
+    assert routes_for(k, 3, 1001) == ["thm", "subgraph", *corollary]
 
 
 def test_subgraph_props_grid():

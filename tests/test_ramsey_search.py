@@ -172,10 +172,10 @@ def test_cache_with_truncated_last_line(tmp_path):
 
 
 def _tamper_first_nonzero(path, rep):
-    from gpaley.paley_graph import K4_ORACLE_CAP
+    from gpaley.paley_graph import ORACLE_CAP
 
     victim = next(r.q for r in rep.records if r.count > 0)
-    assert victim <= K4_ORACLE_CAP
+    assert victim <= ORACLE_CAP[4]
     with open(path) as fh:
         lines = [json.loads(line) for line in fh]
     for rec in lines:
@@ -250,7 +250,7 @@ def test_each_fresh_q_builds_its_field_once(monkeypatch):
 def test_cache_hits_build_only_the_checked_q(monkeypatch, tmp_path):
     import random
 
-    from gpaley.paley_graph import K4_ORACLE_CAP
+    from gpaley.paley_graph import ORACLE_CAP
     from gpaley.ramsey_search import THM2_CROSSCHECK_CAP
 
     path = str(tmp_path / "cache.jsonl")
@@ -260,5 +260,5 @@ def test_cache_hits_build_only_the_checked_q(monkeypatch, tmp_path):
     assert _records(second) == _records(first)
     eligible = [q for q in admissible_q(3, 230) if q <= THM2_CROSSCHECK_CAP]
     sample = random.Random(0).sample(eligible, len(eligible) // 10)
-    zeros = [q for q in first.zero_qs if q <= K4_ORACLE_CAP]
+    zeros = [q for q in first.zero_qs if q <= ORACLE_CAP[4]]
     assert calls == sorted(set(sample) | set(zeros))
