@@ -68,6 +68,13 @@ def _zeta_power_basis(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _zeta_sparse_rows(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero (j, coefficient) pairs of each _zeta_power_basis(k) row."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c)
+                 for row in _zeta_power_basis(k))
+
+
 class CycInt:
     """An element of Z[zeta_k] in canonical power-basis form."""
 
@@ -98,14 +105,12 @@ class CycInt:
     def from_zeta_counts(cls, k: int, counts) -> CycInt:
         """Sum of counts[e] * zeta^e for e in range(k); the workhorse behind
         every character-sum evaluation."""
-        rows = _zeta_power_basis(k)
-        phi = _phi(k)
-        acc = [0] * phi
+        rows = _zeta_sparse_rows(k)
+        acc = [0] * _phi(k)
         for e, c in enumerate(counts):
             if c:
-                row = rows[e % k]
-                for j in range(phi):
-                    acc[j] += c * row[j]
+                for j, coeff in rows[e % k]:
+                    acc[j] += c * coeff
         return cls(k, acc)
 
     # -- ring operations ------------------------------------------------------

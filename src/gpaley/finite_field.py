@@ -9,10 +9,13 @@ after that all arithmetic is table lookups:
   np_log[a]   ind(a), the discrete log of a nonzero a
   np_zech[n]  ind(omega^n + 1), or -1 where omega^n = -1
 
-The tables are int64 arrays, built once per field.  The scalar operations
-read list copies of them (``exp_table``, ``log_table``, ``zech_table``),
-which are made the first time a scalar operation asks for one, so the
-vectorized passes of a zero scan never pay for them.
+The tables are int64 arrays.  build_field makes np_exp only: for a prime
+field by doubling (omega^(L+j) = omega^L omega^j mod p), for an extension
+field by blocked digit-vector products.  np_log and np_zech are derived
+from it the first time something reads them, so the K4 subgraph count of a
+zero scan, which reads np_exp and the residue mask only, never builds them.
+The scalar operations read list copies of the tables (``exp_table``,
+``log_table``, ``zech_table``), which are likewise made on first use.
 
 Zech's logarithm adds in prime and extension fields alike:
 a + b = omega^(ind a + Z[ind b - ind a]), and -b = omega^(ind b + ind(-1)).
@@ -170,10 +173,25 @@ class FieldContext:
     modulus: tuple[int, ...]          # length r+1, monic, low degree first
     primitive_index: int
     np_exp: np.ndarray = field(repr=False)      # omega^n
-    np_log: np.ndarray = field(repr=False)      # ind(a), 0 at a = 0
-    np_zech: np.ndarray = field(repr=False)     # ind(omega^n + 1), -1 at omega^n = -1
     log_neg_one: int = field(repr=False)        # ind(-1): (q-1)/2, or 0 when p = 2
     _caches: dict = field(default_factory=dict, repr=False)
+
+    # -- the tables derived from np_exp, on first use -----------------------
+
+    @cached_property
+    def np_log(self) -> np.ndarray:
+        """ind(a), 0 at a = 0."""
+        log = np.zeros(self.q, dtype=np.int64)
+        log[self.np_exp] = np.arange(self.q - 1)
+        return log
+
+    @cached_property
+    def np_zech(self) -> np.ndarray:
+        """ind(omega^n + 1), -1 at omega^n = -1."""
+        exp, p = self.np_exp, self.p
+        # adding 1 changes only the constant digit of a packed index
+        plus_one = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
+        return np.where(plus_one == 0, -1, self.np_log[plus_one])
 
     # -- list copies of the tables, for the scalar operations --------------
 
@@ -298,11 +316,27 @@ def _element_order_is_maximal(g: int, p: int, r: int, q: int,
 def _exp_table(p: int, r: int, modulus: list[int], omega: int) -> np.ndarray:
     """omega^j for j in [0, q-1) as packed indices.
 
-    Multiplication by omega^B is an F_p-linear map on digit vectors.  Its
-    matrix is squared while the first block of powers doubles to B rows;
-    after that each block of B digit vectors times the matrix is the next
-    block, and every block is packed as soon as it is made."""
+    In a prime field the packed index is the element itself, and the table
+    doubles in place: exp[L:2L] = exp[:L] * omega^L mod p.  The products
+    stay below p^2, which is under 2^48 within the default size limit.
+
+    In an extension field multiplication by omega^B is an F_p-linear map on
+    digit vectors.  Its matrix is squared while the first block of powers
+    doubles to B rows; after that each block of B digit vectors times the
+    matrix is the next block, and every block is packed as soon as it is
+    made."""
     n = p ** r - 1
+    if r == 1:
+        exp = np.empty(n, dtype=np.int64)
+        exp[0] = 1
+        filled = 1
+        while filled < n:
+            m = min(filled, n - filled)
+            chunk = exp[filled:filled + m]
+            np.multiply(exp[:m], pow(omega, filled, p), out=chunk)
+            chunk %= p
+            filled += m
+        return exp
     step = np.array([_coeffs(_raw_mul(p ** i, omega, p, r, modulus), p, r)
                      for i in range(r)], dtype=np.int64)     # row i: x^i * omega
     place = p ** np.arange(r, dtype=np.int64)
@@ -350,20 +384,17 @@ def build_field(p: int, r: int, *, size_limit: int = DEFAULT_SIZE_LIMIT,
     omega = generators[-1]
 
     exp = _exp_table(p, r, modulus, omega)
-    log = np.zeros(q, dtype=np.int64)
-    log[exp] = np.arange(q - 1)
-    # adding 1 changes only the constant digit of a packed index
-    plus_one = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
-    zech = np.where(plus_one == 0, -1, log[plus_one])
+    # -1 is the element of order 2, omega^((q-1)/2); for p = 2 it is 1
+    log_neg_one = 0 if p == 2 else (q - 1) // 2
+    if exp[log_neg_one] != p - 1:
+        raise AssertionError(f"GF({q}): omega^{log_neg_one} is not -1")
 
     return FieldContext(
         p=p, r=r, q=q,
         modulus=tuple(modulus),
         primitive_index=omega,
         np_exp=exp,
-        np_log=log,
-        np_zech=zech,
-        log_neg_one=int(log[p - 1]),
+        log_neg_one=log_neg_one,
     )
 
 

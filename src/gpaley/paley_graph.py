@@ -9,8 +9,9 @@ The K4 routes and the kernels they read:
   subgraph   K4 = q(q-1)/(12k) * #E(H1), edges by _edge_count, a cyclic
              correlation of packed uint64 bit rows: a phase table of about
              16 |S| bytes plus row blocks of at most BLOCK_ELEMENTS bytes,
-             about 0.03 s for GF(3^10), k = 2.  The production path for
-             the Ramsey searches.
+             about 0.03 s for GF(3^10), k = 2.  It reads np_exp and the
+             residue mask only, no log or Zech table.  The production
+             path for the Ramsey searches.
   thm1       k^5 times residue_histogram's all-zero bin (= 2 #E(H1)), to
              which orthogonality folds Theorem 1's (Z_k)^5 sum; k <= 8.
              It checks the histogram against _edge_count, no more.
@@ -37,6 +38,7 @@ instead of rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,18 +71,21 @@ class CliqueCountResult:
 class PaleyGraph:
     ctx: FieldContext
     k: int
-    S: tuple[int, ...]            # sorted k-th power residues
     in_S: np.ndarray              # bool lookup by element index
 
     @property
     def q(self) -> int:
         return self.ctx.q
 
+    @cached_property
+    def S(self) -> tuple[int, ...]:
+        """The sorted k-th power residues."""
+        return tuple(np.flatnonzero(self.in_S).tolist())
+
 
 def build_graph(ctx: FieldContext, k: int) -> PaleyGraph:
     validate_paley_params(k, ctx)
-    in_S = residue_mask(ctx, k)
-    return PaleyGraph(ctx=ctx, k=k, S=tuple(np.flatnonzero(in_S).tolist()), in_S=in_S)
+    return PaleyGraph(ctx=ctx, k=k, in_S=residue_mask(ctx, k))
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +208,13 @@ def _difference_table(g: PaleyGraph) -> np.ndarray:
     For a = omega^(ki) and b = omega^(kj) in S, a - b = -a (omega^(k(j-i)) - 1)
     with a and -1 in S, so a ~ b exactly when T[(j - i) mod |S|].  As
     |j - i| < |S|, numpy's negative indexing reads T[j - i] as exactly
-    that.  T is symmetric (T[t] = T[-t]) and T[0] is False."""
-    d = g.ctx.log_sub(g.k * np.arange(len(g.S)), 0)
-    return (d >= 0) & (d % g.k == 0)
+    that.  T is symmetric (T[t] = T[-t]) and T[0] is False.
+
+    It reads np_exp and the residue mask only: subtracting 1 changes only
+    the constant digit of a packed index."""
+    x = g.ctx.np_exp[::g.k]                     # omega^(kt)
+    p = g.ctx.p
+    return g.in_S[np.where(x % p == 0, x + (p - 1), x - 1)]
 
 
 def h1_vertices(g: PaleyGraph) -> list[int]:

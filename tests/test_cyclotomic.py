@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from gpaley.cyclotomic import CycInt, cyclotomic_polynomial, zeta_pow
+from gpaley.cyclotomic import (CycInt, _zeta_power_basis, cyclotomic_polynomial,
+                               zeta_pow)
 from gpaley.errors import ConductorMismatch, NotRational
 
 KNOWN_PHI = {
@@ -107,6 +108,29 @@ def test_from_zeta_counts():
     counts = [5, 0, 2, 1]
     expected = (CycInt.integer(4, 5) + 2 * zeta_pow(4, 2) + zeta_pow(4, 3))
     assert CycInt.from_zeta_counts(4, counts) == expected
+
+
+def dense_from_zeta_counts(k, counts):
+    """Reference: every entry of each power-basis row, zeros included."""
+    rows = _zeta_power_basis(k)
+    phi = len(rows[0])
+    acc = [0] * phi
+    for e, c in enumerate(counts):
+        for j in range(phi):
+            acc[j] += c * rows[e % k][j]
+    return tuple(acc)
+
+
+def test_from_zeta_counts_matches_the_dense_loop():
+    rng = random.Random(23)
+    for k in range(1, 121):
+        for _ in range(3):
+            # some zero counts, some past 2^63, and a second lap past k
+            counts = [rng.choice((0, rng.randrange(-9, 10),
+                                  rng.randrange(-2 ** 80, 2 ** 80)))
+                      for _ in range(k + rng.randrange(2))]
+            got = CycInt.from_zeta_counts(k, counts).coeffs
+            assert got == dense_from_zeta_counts(k, counts), k
 
 
 def test_json_round_shape():

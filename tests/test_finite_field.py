@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from gpaley import finite_field
 from gpaley.errors import CompositeP, InvalidCongruence, SizeLimit, ZeroInput
 from gpaley.finite_field import (EXP_BLOCK, _raw_mul, build_field, factorize,
                                  is_kth_power, is_prime, kth_power_residues,
@@ -208,11 +209,13 @@ def least_generators(p, r):
     return found
 
 
+GENERATOR_FIELDS = [(p, 1) for p in range(2, 5000) if is_prime(p)] + [
+    (2, 4), (2, 7), (2, 8), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2),
+    (11, 2), (13, 2)]
+
+
 def test_generator_matches_raw_mul_search():
-    fields = [(p, 1) for p in range(2, 5000) if is_prime(p)] + [
-        (2, 4), (2, 7), (2, 8), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2),
-        (11, 2), (13, 2)]
-    for p, r in fields:
+    for p, r in GENERATOR_FIELDS:
         found = least_generators(p, r)
         assert build_field(p, r).primitive_index == found[0], (p, r)
         if len(found) == 2:
@@ -221,6 +224,42 @@ def test_generator_matches_raw_mul_search():
         else:
             with pytest.raises(ValueError):
                 build_field(p, r, alt_generator=True)
+
+
+def test_lazy_log_and_zech_match_the_eager_formulas():
+    for p, r in GENERATOR_FIELDS:
+        ctx = build_field(p, r)
+        q, exp = ctx.q, ctx.np_exp
+        assert "np_log" not in vars(ctx) and "np_zech" not in vars(ctx)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        plus_one = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
+        zech = np.where(plus_one == 0, -1, log[plus_one])
+        assert ctx.log_neg_one == int(ctx.np_log[p - 1]), (p, r)
+        assert ctx.np_log.dtype == ctx.np_zech.dtype == np.int64
+        assert np.array_equal(ctx.np_log, log), (p, r)
+        assert np.array_equal(ctx.np_zech, zech), (p, r)
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_prime_exp_table_is_the_power_sequence(big):
+    primes = ([65537, 100057, 1048573] if big
+              else [p for p in range(2, 5000) if is_prime(p)])
+    for p in primes:
+        ctx = build_field(p, 1)
+        exp, omega = ctx.np_exp, ctx.primitive_index
+        assert exp.dtype == np.int64 and len(exp) == p - 1
+        assert np.array_equal(exp[1:], exp[:-1] * omega % p), p
+        assert int(exp[-1]) * omega % p == 1, p
+        assert np.array_equal(np.sort(exp), np.arange(1, p)), p
+
+
+def test_exp_table_without_minus_one_in_place_raises(monkeypatch):
+    real = finite_field._exp_table
+    monkeypatch.setattr(finite_field, "_exp_table",
+                        lambda *args: np.roll(real(*args), 1))
+    with pytest.raises(AssertionError, match="not -1"):
+        build_field(13, 1)
 
 
 def test_split_prime_power():

@@ -13,12 +13,13 @@ from gpaley.finite_field import build_field
 from gpaley.jacobi import EISENSTEIN, solve_quadform
 from gpaley.paley_graph import (CliqueCountResult, K3_closed, K3_corollary,
                                 K4_corollary, K4_subgraph_method, K4_thm1,
-                                K4_thm2, _edge_count, _exact_div,
-                                adjacency_rows,
+                                K4_thm2, _difference_table, _edge_count,
+                                _exact_div, adjacency_rows,
                                 brute_force_K, build_graph, clique_count,
                                 count_cliques, h1_edge_count, h1_vertices,
                                 h_edge_count, pack_words, routes_for,
                                 row_popcounts, subgraph_masks, unpack_words)
+from gpaley.ramsey_search import admissible_q
 from gpaley.verify import (check_clique_recursions, check_strong_regularity,
                            check_subgraph_props)
 from helpers import get_field, paley_pairs
@@ -365,11 +366,31 @@ def test_edge_kernel_byte_lookup_popcount(n, monkeypatch):
 
 
 def test_subgraph_count_leaves_the_list_tables_unbuilt():
-    lists = ("exp_table", "log_table", "zech_table")
-    for p, r, k in ((457, 1, 4), (3457, 1, 6), (3, 4, 4)):
+    unbuilt = ("exp_table", "log_table", "zech_table", "np_log", "np_zech")
+    for p, r, k in ((457, 1, 4), (3457, 1, 6), (3, 4, 4), (2, 6, 3)):
         ctx = build_field(p, r)
-        K4_subgraph_method(build_graph(ctx, k))
-        assert not any(name in vars(ctx) for name in lists), (p, r, k)
+        count = clique_count(ctx, k, 4).count
+        assert not any(name in vars(ctx) for name in unbuilt), (p, r, k)
+        assert "S" not in vars(build_graph(ctx, k))
         ctx.add(1, 1)                            # a scalar op builds them
-        assert [getattr(ctx, name) for name in lists] == [
+        assert [getattr(ctx, name) for name in unbuilt[:3]] == [
             ctx.np_exp.tolist(), ctx.np_log.tolist(), ctx.np_zech.tolist()]
+        # the subgraph count reads neither the log nor the Zech table
+        shuffled = build_field(p, r)
+        rng = np.random.default_rng(ctx.q)
+        shuffled.__dict__["np_log"] = rng.permutation(ctx.np_log)
+        shuffled.__dict__["np_zech"] = rng.permutation(ctx.np_zech)
+        assert not np.array_equal(shuffled.np_log, ctx.np_log), (p, r, k)
+        assert clique_count(shuffled, k, 4).count == count, (p, r, k)
+
+
+def test_difference_table_matches_the_log_sub_form():
+    # 27 and 243 are admissible only for k = 13 and k = 11, 121
+    pairs = [(k, q) for k in range(2, 9) for q in admissible_q(k, 1000)]
+    pairs += [(13, 27), (11, 243), (121, 243)]
+    for q in (16, 64, 256, 27, 81, 243, 729, 25, 49, 121, 343):
+        assert any(pq == q for _, pq in pairs), q
+    for k, q in pairs:
+        g = build_graph(get_field(q), k)
+        d = g.ctx.log_sub(k * np.arange(len(g.S)), 0)
+        assert np.array_equal(_difference_table(g), (d >= 0) & (d % k == 0)), (k, q)
