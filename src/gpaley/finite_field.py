@@ -8,12 +8,15 @@ after that all arithmetic is table lookups:
   np_exp[n]   omega^n, for n in [0, q-1)
   np_log[a]   ind(a), the discrete log of a nonzero a
   np_zech[n]  ind(omega^n + 1), or -1 where omega^n = -1
+  log_one_minus[n]  ind(1 - omega^n), or -1 at n = 0
 
 The tables are int64 arrays.  build_field makes np_exp only: for a prime
 field by doubling (omega^(L+j) = omega^L omega^j mod p), for an extension
-field by blocked digit-vector products.  np_log and np_zech are derived
-from it the first time something reads them, so the K4 subgraph count of a
-zero scan, which reads np_exp and the residue mask only, never builds them.
+field by blocked digit-vector products.  np_log, np_zech and
+log_one_minus are derived from it the first time something reads them, so
+the K4 subgraph count of a zero scan, which reads np_exp and the residue
+mask only, never builds them.  log_one_minus is the one array of
+ind(1 - b) that the character sums read; it is read-only.
 The scalar operations read list copies of the tables (``exp_table``,
 ``log_table``, ``zech_table``), which are likewise made on first use.
 
@@ -192,6 +195,15 @@ class FieldContext:
         # adding 1 changes only the constant digit of a packed index
         plus_one = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
         return np.where(plus_one == 0, -1, self.np_log[plus_one])
+
+    @cached_property
+    def log_one_minus(self) -> np.ndarray:
+        """ind(1 - omega^n), -1 at n = 0: 1 - omega^n = 1 + omega^(n + ind(-1)).
+        Read-only, so an in-place edit by a caller raises."""
+        n = self.q - 1
+        table = self.np_zech[(np.arange(n) + self.log_neg_one) % n]
+        table.flags.writeable = False
+        return table
 
     # -- list copies of the tables, for the scalar operations --------------
 

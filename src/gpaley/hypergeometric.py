@@ -5,7 +5,14 @@ the scaled sums are cyclotomic integers, so the whole pipeline stays exact.
 Each evaluator walks the defining character double sum, histograms the
 root-of-unity exponents, and folds the histogram once; terms with any zero
 argument vanish because every character, the trivial one included, is zero
-at zero.
+at zero.  ind(1 - b) and ind(b - 1) come from the field's one
+log_one_minus table.
+
+For characters that are powers of one order-k character, residue_histogram
+counts the residue patterns of all (a, b) pairs once per (q, k), and every
+lambda = 1 value is a fold of it.  It visits each unordered pair once, in
+contiguous windows of one column array, and recovers the ordered pairs by
+relabelling bins under the swap of a and b; the arithmetic is integer only.
 
 The reduction and transformation checkers compare both sides of the known
 identities after clearing all denominators by powers of q; they return a
@@ -22,11 +29,12 @@ from functools import lru_cache
 from math import lcm
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .characters import MultChar, canonical_char, check_order, same_ctx
 from .cyclotomic import CycInt
 from .errors import ShapeMismatch, SizeLimit
-from .finite_field import FieldContext, row_blocks
+from .finite_field import BLOCK_ELEMENTS, FieldContext, row_blocks
 from .jacobi import binom_symbol_scaled
 
 HIST_K_CAP = 8   # largest k whose k^5-bin lambda=1 histogram is built
@@ -53,9 +61,13 @@ def f21_scaled(A: MultChar, B: MultChar, C: MultChar, lam: int,
     x2 = (B.conj() * C).exponent_in(c)
     x3 = A.conj().exponent_in(c)
     n = np.arange(ctx.q - 1)                   # b = omega^n
-    l_omb = ctx.log_sub(0, n)                  # ind(1 - b)
-    l_bml = ctx.log_sub(n, ctx.dlog(lam))      # ind(b - lam)
-    valid = (l_omb >= 0) & (l_bml >= 0)
+    l_omb = ctx.log_one_minus                  # ind(1 - b)
+    # b - lam = -lam (1 - b/lam); exponents are read mod c, which divides
+    # q - 1, so ind(b - lam) = ind(-lam) + ind(1 - b/lam) needs no reduction
+    l_lam = ctx.dlog(lam)
+    l_omb_lam = np.roll(l_omb, l_lam)          # ind(1 - b/lam)
+    valid = (l_omb >= 0) & (l_omb_lam >= 0)
+    l_bml = l_omb_lam + (l_lam + ctx.log_neg_one)
     e = (x1 * n + x2 * l_omb + x3 * l_bml)[valid] % c
     counts = np.bincount(e, minlength=c)
     return ScaledHypValue(CycInt.from_zeta_counts(c, counts.tolist()), 1)
@@ -74,8 +86,10 @@ def f32_scaled(A: MultChar, B: MultChar, C: MultChar, D: MultChar, E: MultChar,
     x4 = (B.conj() * D).exponent_in(c)
     x5 = A.conj().exponent_in(c)
     n = np.arange(1, ctx.q - 1)                # a, b = omega^n run over F_q \ {0, 1}
-    row = x1 * n + x2 * ctx.log_sub(0, n)      # ind(a), ind(1 - a)
-    col = x3 * n + x4 * ctx.log_sub(n, 0)      # ind(b), ind(b - 1)
+    l_om = ctx.log_one_minus[1:]               # ind(1 - a), ind(1 - b)
+    row = x1 * n + x2 * l_om                   # ind(a), ind(1 - a)
+    # ind(b - 1) = ind(-1) + ind(1 - b), read mod c, which divides q - 1
+    col = x3 * n + x4 * (l_om + ctx.log_neg_one)    # ind(b), ind(b - 1)
     l_lamb = (ctx.dlog(lam) + n) % (ctx.q - 1)
     counts = np.zeros(c, dtype=np.int64)
     for blk in row_blocks(len(n), len(n)):
@@ -98,35 +112,58 @@ def _index_vectors(k: int) -> np.ndarray:
 
 def residue_histogram(ctx: FieldContext, k: int) -> np.ndarray:
     """Counts of the residue pattern (rho(a), rho(1-a), rho(b), rho(b-1),
-    rho(a-b)) over pairs a != b in F_q minus {0, 1}, rho = dlog mod k.  One
-    O(q^2) pass feeds every lambda=1 indexed 3F2 at this (q, k).
+    rho(a-b)) over pairs a != b in F_q minus {0, 1}, rho = dlog mod k, as
+    k^5 int64 bins in that digit order.  One exact O(q^2) pass feeds every
+    lambda=1 indexed 3F2 at this (q, k).
 
-    With m = ind b - ind a, a - b = a (1 - omega^m): rho(a-b) = rho(a) +
-    rho(1 - omega^m) is a lookup at the log difference in the residue table
-    behind the cyclotomic numbers (jacobi.cyclotomic_numbers).  The sum is
-    the leading bin digit, folded mod k at the end; the entry 2k at m = 0
-    sends a = b to leading digits [2k, 3k), which are dropped."""
+    All three labels come from L(n) = ind(1 - omega^n) (ctx.log_one_minus).
+    With N = q - 1, e = rho(-1), a = omega^na and b = a omega^m:
+    rho(1 - a) = L(na), rho(b - 1) = L(nb) + e, rho(a - b) = rho(a) + L(m).
+    Swapping a and b moves bin (i, u, j, v, w) to (j, v - e, i, u + e, w + e),
+    so the pass counts each unordered pair once and adds the swap-relabelled
+    copy: the pair with m in [1, (N-1)/2], and for even N the pair with
+    m = N/2 (b = -a) and na < N/2.
+
+    In the (na, m) grid the b codes of row na are the contiguous window
+    col[na+1 : na+1+half] of a doubled column array, and the L(m) digit is
+    one vector every row shares, so a cell costs two adds and a bincount.
+    The rho(a-b) digit leads and is summed unreduced, in [0, 2k), then
+    folded mod k; b = 1 carries a sentinel code that lands past those 2k^5
+    bins.  Rows fill one reused int64 buffer of at most BLOCK_ELEMENTS
+    cells."""
     check_order(ctx, k)
     if k > HIST_K_CAP:
         raise SizeLimit(f"k^5 histogram bins need k <= {HIST_K_CAP}, got k={k}")
     key = ("f32hist", k)
     if key in ctx._caches:
         return ctx._caches[key]
-    k4 = k ** 4
-    n = np.arange(1, ctx.q - 1)                # a, b = omega^n run over F_q \ {0, 1}
-    one_minus = ctx.log_sub(0, np.arange(ctx.q - 1)) % k     # rho(1 - omega^m)
-    one_minus[0] = 2 * k
-    lead = one_minus * k4                                    # rho(a-b) - rho(a), leading digit
-    row = n % k * (k4 + k ** 3) + one_minus[n] * k * k       # rho(a), rho(1 - a)
-    col = n % k * k + ctx.log_sub(n, 0) % k                  # rho(b), rho(b - 1)
-    # int32 cells suffice: bins stay below 3k^5 and |m| below q - 1
-    n, row, col, lead = (x.astype(np.int32) for x in (n, row, col, lead))
-    hist = np.zeros(3 * k * k4, dtype=np.int64)
-    for blk in row_blocks(len(n), len(n)):
-        flat = row[blk, None] + col[None, :] + lead[n[None, :] - n[blk, None]]
-        hist += np.bincount(flat.ravel(), minlength=len(hist))
-    low, high, _ = hist.reshape(3, k, k4)                    # a = b lands in the third
-    hist = (low + high).T.ravel()
+    N, k4 = ctx.q - 1, k ** 4
+    e = ctx.log_neg_one % k
+    n = np.arange(N)                           # na, nb, m
+    one_minus = ctx.log_one_minus % k          # rho(1 - omega^n); n = 0 unread
+    row = n % k * (k4 + k ** 3) + one_minus * k * k          # rho(a) twice, rho(1 - a)
+    col = n % k * k + (one_minus + e) % k                    # rho(b), rho(b - 1)
+    col[0] = 2 * k * k4                                      # b = 1
+    half = (N - 1) // 2                                      # m in [1, half]
+    windows = sliding_window_view(np.concatenate([col, col]), half)
+    lead = one_minus[1:half + 1] * k4                        # rho(1 - omega^m)
+    hist = np.zeros(4 * k * k4, dtype=np.int64)
+    rows = max(1, min(N - 1, BLOCK_ELEMENTS // max(1, half)))
+    buf = np.empty((rows, half), dtype=np.int64)
+    for start in range(1, N, rows):            # na = 0 is a = 1
+        cells = buf[:min(rows, N - start)]
+        np.add(row[start:start + len(cells), None],
+               windows[start + 1:start + 1 + len(cells)], out=cells)
+        cells += lead
+        hist += np.bincount(cells.ravel(), minlength=len(hist))
+    if N % 2 == 0:                             # b = -a, once per pair
+        h = N // 2
+        hist += np.bincount(row[1:h] + col[h + 1:N] + one_minus[h] * k4,
+                            minlength=len(hist))
+    low, high, _, _ = hist.reshape(4, k, k4)   # b = 1 lands in the last two
+    once = (low + high).reshape((k,) * 5)      # [w, i, u, j, v]
+    swapped = np.roll(once.transpose(3, 4, 1, 2, 0), (-e, e, e), axis=(1, 3, 4))
+    hist = (once.transpose(1, 2, 3, 4, 0) + swapped).ravel()
     ctx._caches[key] = hist
     return hist
 
@@ -277,7 +314,7 @@ def _numeric_tables(ctx: FieldContext):
         q = ctx.q
         roots = np.exp(2j * np.pi * np.arange(q - 1) / (q - 1))
         log_a = ctx.np_log[2:]                 # skip the elements 0 and 1
-        log_1ma = ctx.log_sub(0, log_a)
+        log_1ma = ctx.log_one_minus[log_a]
         ctx._caches["numeric"] = (roots, log_a, log_1ma, {})
     return ctx._caches["numeric"]
 

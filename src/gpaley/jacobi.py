@@ -3,7 +3,7 @@
 jacobi_sum is the direct O(q) definition: each term of J(A, B) is a root of
 unity, so the sum is a histogram of exponents folded through
 CycInt.from_zeta_counts.  The terms are indexed by n = ind(a), and
-ind(1 - a) comes from the field's Zech table in one vectorized lookup.
+ind(1 - a) is the field's log_one_minus table, built once per field.
 
 The aggregates R_k, S_k, J0, JJ0 read the order-k cyclotomic numbers
 (i, j)_k = #{a : ind a = i, ind(1 - a) = j (mod k)}, one O(q) pass that
@@ -34,7 +34,7 @@ def jacobi_sum(A: MultChar, B: MultChar, conductor: int | None = None) -> CycInt
     ctx = same_ctx((A, B))
     c = conductor if conductor is not None else lcm(A.order, B.order)
     n = np.arange(ctx.q - 1)            # a = omega^n
-    l_oma = ctx.log_sub(0, n)           # ind(1 - a), -1 at a = 1
+    l_oma = ctx.log_one_minus           # ind(1 - a), -1 at a = 1
     e = (A.exponent_in(c) * n + B.exponent_in(c) * l_oma)[l_oma >= 0] % c
     return CycInt.from_zeta_counts(c, np.bincount(e, minlength=c).tolist())
 
@@ -50,7 +50,7 @@ def cyclotomic_numbers(ctx: FieldContext, k: int) -> np.ndarray:
     k x k integer array."""
     check_order(ctx, k)
     n = np.arange(1, ctx.q - 1)         # a = omega^n, a != 1
-    cell = n % k * k + ctx.log_sub(0, n) % k
+    cell = n % k * k + ctx.log_one_minus[1:] % k
     return np.bincount(cell, minlength=k * k).reshape(k, k)
 
 

@@ -241,6 +241,18 @@ def test_lazy_log_and_zech_match_the_eager_formulas():
         assert np.array_equal(ctx.np_zech, zech), (p, r)
 
 
+def test_log_one_minus_is_the_read_only_log_sub_row():
+    for p, r in GENERATOR_FIELDS:
+        ctx = build_field(p, r)
+        assert "log_one_minus" not in vars(ctx)
+        table = ctx.log_one_minus
+        assert table.dtype == np.int64
+        assert np.array_equal(table, ctx.log_sub(0, np.arange(ctx.q - 1))), (p, r)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
 @pytest.mark.parametrize("big", [False, True])
 def test_prime_exp_table_is_the_power_sequence(big):
     primes = ([65537, 100057, 1048573] if big

@@ -1,12 +1,15 @@
 """Scaled hypergeometric evaluation, reductions, and transformations."""
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from gpaley.characters import MultChar, canonical_char, trivial_char
 from gpaley.cyclotomic import CycInt
 from gpaley.errors import OrderNotDividing, ShapeMismatch
+from gpaley.finite_field import BLOCK_ELEMENTS, build_field, row_blocks
 from gpaley.hypergeometric import (check_reduction, check_transformation,
                                    f21_definitional_numeric, f21_scaled,
                                    f32_definitional_numeric, f32_full_grid_sum,
@@ -90,6 +93,79 @@ def test_residue_histogram_matches_scalar_double_loop():
                         idx = idx * k + ctx.dlog(x) % k
                     expect[idx] += 1
             assert residue_histogram(ctx, k).tolist() == expect, (q, k)
+
+
+def _full_grid_histogram(ctx, k):
+    """The ordered-pair oracle: every (a, b) cell of the full grid, rho(a - b)
+    read through the residue table at the log difference m = ind b - ind a,
+    with a = b (m = 0) sent to leading digits [2k, 3k) and dropped."""
+    k4 = k ** 4
+    n = np.arange(1, ctx.q - 1)
+    one_minus = ctx.log_sub(0, np.arange(ctx.q - 1)) % k
+    one_minus[0] = 2 * k
+    lead = one_minus * k4
+    row = n % k * (k4 + k ** 3) + one_minus[n] * k * k
+    col = n % k * k + ctx.log_sub(n, 0) % k
+    n, row, col, lead = (x.astype(np.int32) for x in (n, row, col, lead))
+    hist = np.zeros(3 * k * k4, dtype=np.int64)
+    for blk in row_blocks(len(n), len(n)):
+        flat = row[blk, None] + col[None, :] + lead[n[None, :] - n[blk, None]]
+        hist += np.bincount(flat.ravel(), minlength=len(hist))
+    low, high, _ = hist.reshape(3, k, k4)
+    return (low + high).T.ravel()
+
+
+# (p, r, ks): a prime with k = 6; GF(3^8); GF(2^10) with N = q - 1 odd;
+# GF(7^3); q = 97 over several k; q = 13, k = 4 and q = 25, k = 8, where
+# rho(-1) = k/2 is not 0; and q = 3, 4, whose half grid has 0 and 1 columns
+HALF_GRID_FIELDS = [(3457, 1, (6,)), (3, 8, (8,)), (2, 10, (3,)), (7, 3, (6,)),
+                    (97, 1, (2, 3, 4, 6, 8)), (13, 1, (4,)), (5, 2, (8,)),
+                    (3, 1, (1, 2)), (2, 2, (1, 3))]
+
+
+def test_half_grid_histogram_matches_the_full_grid_oracle():
+    for p, r, ks in HALF_GRID_FIELDS:
+        ctx = build_field(p, r)
+        for k in ks:
+            hist = residue_histogram(ctx, k)
+            assert hist.dtype == np.int64 and hist.shape == (k ** 5,)
+            assert np.array_equal(hist, _full_grid_histogram(ctx, k)), (p, r, k)
+    assert build_field(13, 1).log_neg_one % 4 == 2
+    assert build_field(5, 2).log_neg_one % 8 == 4
+
+
+def test_histogram_swap_symmetry_and_mass():
+    """Swapping a and b moves bin (i, u, j, v, w) to (j, v-e, i, u+e, w+e),
+    e = rho(-1), and the bins count the (q-2)(q-3) ordered pairs."""
+    for q in (13, 16, 25, 27, 49):
+        ctx = get_field(q)
+        for k in range(1, 9):
+            if (q - 1) % k:
+                continue
+            e = ctx.log_neg_one % k
+            hist = residue_histogram(ctx, k).reshape((k,) * 5)
+            i, u, j, v, w = np.indices((k,) * 5)
+            swapped = hist[j, (v - e) % k, i, (u + e) % k, (w + e) % k]
+            assert np.array_equal(swapped, hist), (q, k)
+            assert int(hist.sum()) == (q - 2) * (q - 3), (q, k)
+
+
+# one reused int64 row buffer of at most BLOCK_ELEMENTS cells, plus O(q)
+# arrays and the k^5 bins
+HIST_PEAK_BUDGET = 8 * BLOCK_ELEMENTS + 2 * 2 ** 20
+
+
+def test_residue_histogram_memory_is_one_block_buffer():
+    ctx = build_field(3457, 1)
+    ctx.log_one_minus                            # field tables, built untraced
+    tracemalloc.start()
+    try:
+        hist = residue_histogram(ctx, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(hist.sum()) == 3455 * 3454
+    assert peak < HIST_PEAK_BUDGET
 
 
 def test_histogram_rejects_bad_orders():

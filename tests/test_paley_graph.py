@@ -366,7 +366,8 @@ def test_edge_kernel_byte_lookup_popcount(n, monkeypatch):
 
 
 def test_subgraph_count_leaves_the_list_tables_unbuilt():
-    unbuilt = ("exp_table", "log_table", "zech_table", "np_log", "np_zech")
+    unbuilt = ("exp_table", "log_table", "zech_table", "np_log", "np_zech",
+               "log_one_minus")
     for p, r, k in ((457, 1, 4), (3457, 1, 6), (3, 4, 4), (2, 6, 3)):
         ctx = build_field(p, r)
         count = clique_count(ctx, k, 4).count
@@ -382,6 +383,23 @@ def test_subgraph_count_leaves_the_list_tables_unbuilt():
         shuffled.__dict__["np_zech"] = rng.permutation(ctx.np_zech)
         assert not np.array_equal(shuffled.np_log, ctx.np_log), (p, r, k)
         assert clique_count(shuffled, k, 4).count == count, (p, r, k)
+
+
+def test_graph_routes_build_one_graph_per_field_and_k(monkeypatch):
+    calls = []
+    original = paley_graph.build_graph
+
+    def counting(ctx, k):
+        calls.append((ctx.q, k))
+        return original(ctx, k)
+
+    monkeypatch.setattr(paley_graph, "build_graph", counting)
+    monkeypatch.setattr(verify, "_FIELDS", {})       # fresh fields, no cached graph
+    res = verify.check_cross_method_equality()
+    assert res.passed, res.detail
+    pairs = verify.valid_pairs(200, (2, 3, 4, 5))
+    assert len(pairs) == 83
+    assert sorted(calls) == sorted((q, k) for k, q in pairs)
 
 
 def test_difference_table_matches_the_log_sub_form():
