@@ -103,7 +103,7 @@ def cmd_hyp(args) -> int:
 
 def cmd_cliques(args) -> int:
     ctx = _field_for_q(args)
-    if args.method == "naive" and args.oracle_cap is not None:
+    if args.oracle_cap is not None:
         res = brute_force_K(build_graph(ctx, args.k), args.m, cap=args.oracle_cap)
     else:
         res = clique_count(ctx, args.k, args.m, method=args.method)
@@ -200,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "oracle_cap", None) is not None and args.method != "naive":
+        parser.error("--oracle-cap applies to --method naive only")
     try:
         return args.func(args)
     except (GPaleyError, ValueError) as exc:

@@ -1,31 +1,27 @@
-"""Deterministic construction of GF(p^r) with exp, log and Zech tables.
+"""Deterministic construction of GF(p^r) with exp, log and difference tables.
 
 Elements are plain ints in [0, q): the base-p digit vector of the polynomial
 representative packed into a single index (0 is the zero element, 1 is the
 multiplicative identity).  Digits are used only while the tables are built;
-after that all arithmetic is table lookups:
+after that all arithmetic is table lookups in three int64 arrays:
 
-  np_exp[n]   omega^n, for n in [0, q-1)
-  np_log[a]   ind(a), the discrete log of a nonzero a
-  np_zech[n]  ind(omega^n + 1), or -1 where omega^n = -1
-  log_one_minus[n]  ind(1 - omega^n), or -1 at n = 0
+  np_exp[n]         omega^n, for n in [0, q-1)
+  np_log[a]         ind(a), the discrete log of a nonzero a
+  log_one_minus[n]  L(n) = ind(1 - omega^n), or -1 at n = 0
 
-The tables are int64 arrays.  build_field makes np_exp only: for a prime
-field by doubling (omega^(L+j) = omega^L omega^j mod p), for an extension
-field by blocked digit-vector products.  np_log, np_zech and
-log_one_minus are derived from it the first time something reads them, so
-the K4 subgraph count of a zero scan, which reads np_exp and the residue
-mask only, never builds them.  log_one_minus is the one array of
-ind(1 - b) that the character sums read; it is read-only.
-The scalar operations read list copies of the tables (``exp_table``,
-``log_table``, ``zech_table``), which are likewise made on first use.
+build_field makes np_exp only: for a prime field by doubling
+(omega^(B+j) = omega^B omega^j mod p), for an extension field by blocked
+digit-vector products.  np_log and log_one_minus are derived from it the
+first time something reads them, so the K4 subgraph count of a zero scan,
+which reads np_exp and the residue mask only, never builds them.
 
-Zech's logarithm adds in prime and extension fields alike:
-a + b = omega^(ind a + Z[ind b - ind a]), and -b = omega^(ind b + ind(-1)).
-``FieldContext.log_sub`` applies the same identity to broadcast numpy arrays
-of logs; it is the one vectorized subtraction the other layers use, on grids
-that ``row_blocks`` cuts to a fixed number of cells.  Every run of the same
-(p, r) produces byte-identical tables.
+L is the field's one difference table, and it is read-only.  With
+e = ind(-1), 1 - omega^n = omega^(n+e) + 1, and adding 1 changes only the
+constant digit of a packed index.  Every sum and difference is one lookup:
+ind(a - b) = ind a + L(ind b - ind a), and ind(a + b) = ind a +
+L(ind b - ind a + e).  The scalar operations read list copies of the tables
+(``exp_table``, ``log_table``, ``one_minus_table``), which are likewise made
+on first use.  Every run of the same (p, r) produces byte-identical tables.
 """
 
 from __future__ import annotations
@@ -189,19 +185,14 @@ class FieldContext:
         return log
 
     @cached_property
-    def np_zech(self) -> np.ndarray:
-        """ind(omega^n + 1), -1 at omega^n = -1."""
-        exp, p = self.np_exp, self.p
-        # adding 1 changes only the constant digit of a packed index
-        plus_one = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
-        return np.where(plus_one == 0, -1, self.np_log[plus_one])
-
-    @cached_property
     def log_one_minus(self) -> np.ndarray:
-        """ind(1 - omega^n), -1 at n = 0: 1 - omega^n = 1 + omega^(n + ind(-1)).
-        Read-only, so an in-place edit by a caller raises."""
-        n = self.q - 1
-        table = self.np_zech[(np.arange(n) + self.log_neg_one) % n]
+        """L(n) = ind(1 - omega^n), -1 at n = 0.  Read-only, so an in-place
+        edit by a caller raises."""
+        p = self.p
+        minus = np.roll(self.np_exp, -self.log_neg_one)        # -omega^n
+        # adding 1 changes only the constant digit of a packed index
+        one_minus = np.where(minus % p == p - 1, minus - (p - 1), minus + 1)
+        table = np.where(one_minus == 0, -1, self.np_log[one_minus])
         table.flags.writeable = False
         return table
 
@@ -216,17 +207,18 @@ class FieldContext:
         return self.np_log.tolist()
 
     @cached_property
-    def zech_table(self) -> list[int]:
-        return self.np_zech.tolist()
+    def one_minus_table(self) -> list[int]:
+        return self.log_one_minus.tolist()
 
     # -- element arithmetic ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return a or b
-        la = self.log_table[a]
-        z = self.zech_table[(self.log_table[b] - la) % (self.q - 1)]
-        return 0 if z < 0 else self.exp_table[(la + z) % (self.q - 1)]
+        # a + b = a (1 - omega^(ind b - ind a + ind(-1)))
+        la, n = self.log_table[a], self.q - 1
+        z = self.one_minus_table[(self.log_table[b] - la + self.log_neg_one) % n]
+        return 0 if z < 0 else self.exp_table[(la + z) % n]
 
     def neg(self, a: int) -> int:
         if a == 0:
@@ -261,23 +253,6 @@ class FieldContext:
     def from_int(self, n: int) -> int:
         """Embed the rational integer n via the prime subfield."""
         return n % self.p
-
-    # -- the vectorized difference kernel ---------------------------------
-
-    def log_sub(self, la, lb) -> np.ndarray:
-        """ind(a - b) from la = ind(a) and lb = ind(b) of nonzero a and b,
-        -1 where a = b.  la and lb are logs in [0, q-1), ints or integer
-        arrays broadcast against each other (at least one an array):
-        a - b = a (1 + omega^(ind b - ind a + ind(-1))), so every difference
-        is one Zech lookup."""
-        n = self.q - 1
-        # the index lies in (-n, n), where numpy's negative indexing reads
-        # the table cyclically; this avoids a modulo over the whole grid
-        z = self.np_zech[(lb + self.log_neg_one) % n - la]
-        d = la + z
-        d[d >= n] -= n
-        d[z < 0] = -1
-        return d
 
     def record(self) -> dict:
         """Construction record embedded in every JSON output."""

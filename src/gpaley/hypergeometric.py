@@ -5,14 +5,13 @@ the scaled sums are cyclotomic integers, so the whole pipeline stays exact.
 Each evaluator walks the defining character double sum, histograms the
 root-of-unity exponents, and folds the histogram once; terms with any zero
 argument vanish because every character, the trivial one included, is zero
-at zero.  ind(1 - b) and ind(b - 1) come from the field's one
-log_one_minus table.
+at zero.  Every log comes from the field's one difference table
+L(n) = ind(1 - omega^n): with b = a omega^m, ind(a - b) = ind a + L(m).
 
-For characters that are powers of one order-k character, residue_histogram
-counts the residue patterns of all (a, b) pairs once per (q, k), and every
-lambda = 1 value is a fold of it.  It visits each unordered pair once, in
-contiguous windows of one column array, and recovers the ordered pairs by
-relabelling bins under the swap of a and b; the arithmetic is integer only.
+Both O(q^2) sums, f32_scaled at any lambda and residue_histogram, run on
+one windowed pass, _window_bincount.  For characters that are powers of one
+order-k character, residue_histogram counts the residue patterns of all
+(a, b) pairs once per (q, k), and every lambda = 1 value is a fold of it.
 
 The reduction and transformation checkers compare both sides of the known
 identities after clearing all denominators by powers of q; they return a
@@ -34,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .characters import MultChar, canonical_char, check_order, same_ctx
 from .cyclotomic import CycInt
 from .errors import ShapeMismatch, SizeLimit
-from .finite_field import BLOCK_ELEMENTS, FieldContext, row_blocks
+from .finite_field import BLOCK_ELEMENTS, FieldContext
 from .jacobi import binom_symbol_scaled
 
 HIST_K_CAP = 8   # largest k whose k^5-bin lambda=1 histogram is built
@@ -75,7 +74,10 @@ def f21_scaled(A: MultChar, B: MultChar, C: MultChar, lam: int,
 
 def f32_scaled(A: MultChar, B: MultChar, C: MultChar, D: MultChar, E: MultChar,
                lam: int, conductor: int | None = None) -> ScaledHypValue:
-    """q^2 * 3F2(A, B, C; D, E | lam) over the full (a, b) double sum."""
+    """q^2 * 3F2(A, B, C; D, E | lam) over the full (a, b) double sum, in
+    the grid (na, m): a = omega^na, a - lam b = a (1 - omega^m), m != 0.
+    Codes are reduced mod c | q - 1, so a cell lies in [0, 3c); b = 1
+    carries a sentinel code that lands past those bins."""
     ctx = same_ctx((A, B, C, D, E))
     c = conductor if conductor is not None else _conductor((A, B, C, D, E))
     if lam == 0:
@@ -85,18 +87,37 @@ def f32_scaled(A: MultChar, B: MultChar, C: MultChar, D: MultChar, E: MultChar,
     x3 = B.exponent_in(c)
     x4 = (B.conj() * D).exponent_in(c)
     x5 = A.conj().exponent_in(c)
-    n = np.arange(1, ctx.q - 1)                # a, b = omega^n run over F_q \ {0, 1}
-    l_om = ctx.log_one_minus[1:]               # ind(1 - a), ind(1 - b)
-    row = x1 * n + x2 * l_om                   # ind(a), ind(1 - a)
-    # ind(b - 1) = ind(-1) + ind(1 - b), read mod c, which divides q - 1
-    col = x3 * n + x4 * (l_om + ctx.log_neg_one)    # ind(b), ind(b - 1)
-    l_lamb = (ctx.dlog(lam) + n) % (ctx.q - 1)
-    counts = np.zeros(c, dtype=np.int64)
-    for blk in row_blocks(len(n), len(n)):
-        d = ctx.log_sub(n[blk, None], l_lamb[None, :])    # ind(a - lam b)
-        e = (row[blk, None] + col[None, :] + x5 * d) % c
-        counts += np.bincount(e[d >= 0], minlength=c)
+    n = np.arange(ctx.q - 1)                   # na, nb, m
+    l_om = ctx.log_one_minus                   # L(n); n = 0 (a = 1, b = 1) unread
+    row = ((x1 + x5) * n + x2 * l_om)[1:] % c  # ind(a), ind(1 - a), ind(a - lam b)
+    col = (x3 * n + x4 * (l_om + ctx.log_neg_one)) % c    # ind(b), ind(b - 1)
+    col[0] = 3 * c                             # b = 1
+    lead = x5 * l_om[1:] % c                   # ind(1 - omega^m), m = j + 1
+    # row na = i + 1 reads nb = na + m - ind lam = i + 2 + j - ind lam
+    counts = _window_bincount(row, col, lead, 2 - ctx.dlog(lam), 5 * c)
+    counts = counts[:3 * c].reshape(3, c).sum(axis=0)
     return ScaledHypValue(CycInt.from_zeta_counts(c, counts.tolist()), 2)
+
+
+def _window_bincount(row: np.ndarray, col: np.ndarray, lead: np.ndarray,
+                     offset: int, n_bins: int) -> np.ndarray:
+    """Bincount, in n_bins int64 bins, of row[i] + col[(i + offset + j) mod N]
+    + lead[j] over i < len(row) and j < len(lead) <= 2N + 1 - len(row),
+    N = len(col).  Row i is a contiguous window of col doubled and rotated
+    by offset, so a cell costs two adds and a bincount; rows fill one reused
+    int64 buffer of at most BLOCK_ELEMENTS cells."""
+    n, width = len(col), len(lead)
+    windows = sliding_window_view(col[(np.arange(2 * n) + offset) % n], width)
+    rows = max(1, min(len(row), BLOCK_ELEMENTS // max(1, width)))
+    buf = np.empty((rows, width), dtype=np.int64)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for start in range(0, len(row), rows):
+        cells = buf[:min(rows, len(row) - start)]
+        np.add(row[start:start + len(cells), None],
+               windows[start:start + len(cells)], out=cells)
+        cells += lead
+        counts += np.bincount(cells.ravel(), minlength=n_bins)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +147,9 @@ def residue_histogram(ctx: FieldContext, k: int) -> np.ndarray:
 
     In the (na, m) grid the b codes of row na are the contiguous window
     col[na+1 : na+1+half] of a doubled column array, and the L(m) digit is
-    one vector every row shares, so a cell costs two adds and a bincount.
-    The rho(a-b) digit leads and is summed unreduced, in [0, 2k), then
-    folded mod k; b = 1 carries a sentinel code that lands past those 2k^5
-    bins.  Rows fill one reused int64 buffer of at most BLOCK_ELEMENTS
-    cells."""
+    one vector every row shares (_window_bincount).  The rho(a-b) digit
+    leads and is summed unreduced, in [0, 2k), then folded mod k; b = 1
+    carries a sentinel code that lands past those 2k^5 bins."""
     check_order(ctx, k)
     if k > HIST_K_CAP:
         raise SizeLimit(f"k^5 histogram bins need k <= {HIST_K_CAP}, got k={k}")
@@ -145,17 +164,9 @@ def residue_histogram(ctx: FieldContext, k: int) -> np.ndarray:
     col = n % k * k + (one_minus + e) % k                    # rho(b), rho(b - 1)
     col[0] = 2 * k * k4                                      # b = 1
     half = (N - 1) // 2                                      # m in [1, half]
-    windows = sliding_window_view(np.concatenate([col, col]), half)
     lead = one_minus[1:half + 1] * k4                        # rho(1 - omega^m)
-    hist = np.zeros(4 * k * k4, dtype=np.int64)
-    rows = max(1, min(N - 1, BLOCK_ELEMENTS // max(1, half)))
-    buf = np.empty((rows, half), dtype=np.int64)
-    for start in range(1, N, rows):            # na = 0 is a = 1
-        cells = buf[:min(rows, N - start)]
-        np.add(row[start:start + len(cells), None],
-               windows[start + 1:start + 1 + len(cells)], out=cells)
-        cells += lead
-        hist += np.bincount(cells.ravel(), minlength=len(hist))
+    # row na = i + 1 (na = 0 is a = 1) reads nb = na + m, m = j + 1
+    hist = _window_bincount(row[1:], col, lead, 2, 4 * k * k4)
     if N % 2 == 0:                             # b = -a, once per pair
         h = N // 2
         hist += np.bincount(row[1:h] + col[h + 1:N] + one_minus[h] * k4,
@@ -177,8 +188,9 @@ def _coef_vector(k: int, t) -> np.ndarray:
 def _hist_value(ctx: FieldContext, k: int, t) -> CycInt:
     hist = residue_histogram(ctx, k)
     e = (_index_vectors(k) @ _coef_vector(k, t)) % k
-    counts = [int(hist[e == v].sum()) for v in range(k)]
-    return CycInt.from_zeta_counts(k, counts)
+    counts = np.zeros(k, dtype=np.int64)
+    np.add.at(counts, e, hist)                 # exact int64 scatter-add
+    return CycInt.from_zeta_counts(k, counts.tolist())
 
 
 def f32_indexed(ctx: FieldContext, k: int, t, lam: int | None = None) -> ScaledHypValue:

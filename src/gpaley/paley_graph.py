@@ -2,15 +2,16 @@
 
 The K4 routes and the kernels they read:
 
-  naive      count_cliques over the packed uint64 rows of adjacency_rows:
-             popcounts of ANDs of upper-triangle rows over edges (K3) and
-             triangles (K4), in blocks of at most BLOCK_ELEMENTS bytes;
-             the oracle, for q <= ORACLE_CAP[m].
+  naive      count_cliques over the packed uint64 rows of adjacency_rows
+             (a gather of the field's difference table L): popcounts of
+             ANDs of upper-triangle rows over edges (K3) and triangles
+             (K4), in blocks of at most BLOCK_ELEMENTS bytes; the oracle,
+             for q <= ORACLE_CAP[m].
   subgraph   K4 = q(q-1)/(12k) * #E(H1), edges by _edge_count, a cyclic
              correlation of packed uint64 bit rows: a phase table of about
              16 |S| bytes plus row blocks of at most BLOCK_ELEMENTS bytes,
              about 0.03 s for GF(3^10), k = 2.  It reads np_exp and the
-             residue mask only, no log or Zech table.  The production
+             residue mask only, no log or difference table.  The production
              path for the Ramsey searches.
   thm1       k^5 times residue_histogram's all-zero bin (= 2 #E(H1)), to
              which orthogonality folds Theorem 1's (Z_k)^5 sum; k <= 8.
@@ -24,7 +25,7 @@ The K3 routes: thm (the R_k closed form), subgraph (q #E(H) / 3 by
 _edge_count), corollary (k = 2, 3, 4, quadratic forms) and naive.
 
 thm1, thm2 and the k = 3, 4 K4 corollaries share residue_histogram, so one
-fault there moves them together.
+fault there moves them together; the naive and subgraph routes do not.
 
 ROUTES holds every route by (m, method), and routes_for(k, m, q) the ones
 within their limits; clique_count, verify's cross-method check and the
@@ -136,16 +137,19 @@ def unpack_words(words: np.ndarray, n_cols: int) -> np.ndarray:
 
 def adjacency_rows(g: PaleyGraph) -> np.ndarray:
     """(q, W) packed rows: bit b of row a is set when a ~ b (vertices are
-    element indices)."""
+    element indices).  ind(a - b) = ind a + L(ind b - ind a), L(0) = -1 at
+    a = b; numpy's negative indexing reads L cyclically."""
     ctx, q = g.ctx, g.q
-    log = ctx.np_log[1:]
+    log, one_minus = ctx.np_log[1:], ctx.log_one_minus
     rows = np.empty((q, -(-q // 64)), dtype="<u8")
     rows[0] = pack_words(g.in_S[None, :])[0]    # 0 - b = -b, and -1 is in S
     for blk in row_blocks(q - 1, q):
-        d = ctx.log_sub(log[blk, None], log[None, :])
+        d = one_minus[log[None, :] - log[blk, None]]
         adj = np.empty((len(d), q), dtype=bool)
         adj[:, 0] = g.in_S[1:][blk]           # a - 0 = a
-        adj[:, 1:] = (d >= 0) & (d % g.k == 0)
+        adj[:, 1:] = d >= 0
+        d += log[blk, None]                    # ind(a - b), read mod k | q - 1
+        adj[:, 1:] &= d % g.k == 0
         rows[blk.start + 1:blk.stop + 1] = pack_words(adj)
     return rows
 

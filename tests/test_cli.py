@@ -119,6 +119,7 @@ def test_usage_error_exit_code(capsys):
     ("ramsey", "--k", "3", "--m", "4", "--qmax", "50", "--field-cap", "5"),
     ("jacobi", "--q", "13", "--k", "2", "--seed", "1"),
     ("cliques", "--q", "17", "--k", "2", "--m", "4", "--jobs", "2"),
+    ("cliques", "--q", "13", "--k", "2", "--m", "4", "--oracle-cap", "5"),
 ])
 def test_option_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

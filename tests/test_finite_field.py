@@ -11,7 +11,7 @@ from gpaley.finite_field import (EXP_BLOCK, _raw_mul, build_field, factorize,
                                  is_kth_power, is_prime, kth_power_residues,
                                  paley_congruence, split_prime_power,
                                  validate_paley_params)
-from helpers import get_field, paley_pairs
+from helpers import digit_add, get_field, paley_pairs
 
 
 def brute_force_order(q, mul, g):
@@ -230,15 +230,17 @@ def test_lazy_log_and_zech_match_the_eager_formulas():
     for p, r in GENERATOR_FIELDS:
         ctx = build_field(p, r)
         q, exp = ctx.q, ctx.np_exp
-        assert "np_log" not in vars(ctx) and "np_zech" not in vars(ctx)
+        assert "np_log" not in vars(ctx) and "log_one_minus" not in vars(ctx)
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         plus_one = np.where(exp % p == p - 1, exp - (p - 1), exp + 1)
-        zech = np.where(plus_one == 0, -1, log[plus_one])
+        zech = np.where(plus_one == 0, -1, log[plus_one])     # ind(omega^n + 1)
+        # 1 - omega^n = omega^(n + ind(-1)) + 1
+        one_minus = zech[(np.arange(q - 1) + ctx.log_neg_one) % (q - 1)]
         assert ctx.log_neg_one == int(ctx.np_log[p - 1]), (p, r)
-        assert ctx.np_log.dtype == ctx.np_zech.dtype == np.int64
+        assert ctx.np_log.dtype == ctx.log_one_minus.dtype == np.int64
         assert np.array_equal(ctx.np_log, log), (p, r)
-        assert np.array_equal(ctx.np_zech, zech), (p, r)
+        assert np.array_equal(ctx.log_one_minus, one_minus), (p, r)
 
 
 def test_log_one_minus_is_the_read_only_log_sub_row():
@@ -247,7 +249,8 @@ def test_log_one_minus_is_the_read_only_log_sub_row():
         assert "log_one_minus" not in vars(ctx)
         table = ctx.log_one_minus
         assert table.dtype == np.int64
-        assert np.array_equal(table, ctx.log_sub(0, np.arange(ctx.q - 1))), (p, r)
+        x = digit_add(ctx, 1, ctx.np_exp, -1)             # 1 - omega^n
+        assert np.array_equal(table, np.where(x == 0, -1, ctx.np_log[x])), (p, r)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0
@@ -286,15 +289,6 @@ def test_is_prime_small():
     assert [n for n in range(2, 25) if is_prime(n)] == primes
 
 
-def digit_add(ctx, a, b, sign=1):
-    """Reference a + sign*b: coefficient-wise over the base-p digits."""
-    out, place = 0, 1
-    for _ in range(ctx.r):
-        out += ((a % ctx.p + sign * (b % ctx.p)) % ctx.p) * place
-        a, b, place = a // ctx.p, b // ctx.p, place * ctx.p
-    return out
-
-
 @pytest.mark.parametrize("q", [13, 16, 25, 27, 49])
 @pytest.mark.parametrize("alt", [False, True])
 def test_zech_arithmetic_matches_digit_addition(q, alt):
@@ -304,12 +298,14 @@ def test_zech_arithmetic_matches_digit_addition(q, alt):
         for b in range(q):
             assert ctx.add(a, b) == digit_add(ctx, a, b)
             assert ctx.sub(a, b) == digit_add(ctx, a, b, -1)
-    # the vectorized kernel on every pair of nonzero elements
+    # the array form on every pair of nonzero elements:
+    # ind(a - b) = ind a + L(ind b - ind a), L(0) = -1 at a = b
     logs = np.array([ctx.log_table[a] for a in range(1, q)])
-    diff = ctx.log_sub(logs[:, None], logs[None, :])
+    one_minus = ctx.log_one_minus[(logs[None, :] - logs[:, None]) % (q - 1)]
+    diff = (logs[:, None] + one_minus) % (q - 1)
     for a in range(1, q):
         for b in range(1, q):
-            d = int(diff[a - 1, b - 1])
+            d = -1 if one_minus[a - 1, b - 1] < 0 else int(diff[a - 1, b - 1])
             assert (0 if d < 0 else ctx.exp_table[d]) == digit_add(ctx, a, b, -1)
 
 
@@ -329,5 +325,5 @@ def test_zech_table_definition():
     for q in (2, 3, 16, 27, 49):
         ctx = get_field(q)
         for n in range(q - 1):
-            total = digit_add(ctx, ctx.exp_table[n], 1)
-            assert ctx.zech_table[n] == (-1 if total == 0 else ctx.log_table[total])
+            total = digit_add(ctx, 1, ctx.exp_table[n], -1)
+            assert ctx.one_minus_table[n] == (-1 if total == 0 else ctx.log_table[total])

@@ -1,5 +1,6 @@
 """Scaled hypergeometric evaluation, reductions, and transformations."""
 
+import math
 import random
 import tracemalloc
 
@@ -18,7 +19,7 @@ from gpaley.hypergeometric import (check_reduction, check_transformation,
 from gpaley.jacobi import solve_quadform
 from gpaley.verify import (check_exact_vs_numeric, check_orbit_invariance,
                            check_reductions, check_transformations)
-from helpers import get_field, paley_pairs
+from helpers import digit_add, get_field, paley_pairs
 
 
 def test_f21_trivial_parameters():
@@ -101,11 +102,11 @@ def _full_grid_histogram(ctx, k):
     with a = b (m = 0) sent to leading digits [2k, 3k) and dropped."""
     k4 = k ** 4
     n = np.arange(1, ctx.q - 1)
-    one_minus = ctx.log_sub(0, np.arange(ctx.q - 1)) % k
+    one_minus = ctx.np_log[digit_add(ctx, 1, ctx.np_exp, -1)] % k   # n = 0 reset below
     one_minus[0] = 2 * k
     lead = one_minus * k4
     row = n % k * (k4 + k ** 3) + one_minus[n] * k * k
-    col = n % k * k + ctx.log_sub(n, 0) % k
+    col = n % k * k + ctx.np_log[digit_add(ctx, ctx.np_exp[n], 1, -1)] % k
     n, row, col, lead = (x.astype(np.int32) for x in (n, row, col, lead))
     hist = np.zeros(3 * k * k4, dtype=np.int64)
     for blk in row_blocks(len(n), len(n)):
@@ -166,6 +167,48 @@ def test_residue_histogram_memory_is_one_block_buffer():
         tracemalloc.stop()
     assert int(hist.sum()) == 3455 * 3454
     assert peak < HIST_PEAK_BUDGET
+
+
+def test_f32_scaled_memory_is_one_block_buffer():
+    ctx = build_field(3457, 1)
+    chi = canonical_char(ctx, 6)
+    chars = [chi ** t for t in (1, 2, 5, 3, 4)]
+    f32_scaled(*chars, lam=5)                    # field and zeta tables, untraced
+    tracemalloc.start()
+    try:
+        f32_scaled(*chars, lam=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < HIST_PEAK_BUDGET
+
+
+def _f32_double_loop(A, B, C, D, E, lam):
+    """q^2 * 3F2(A, B, C; D, E | lam) term by term: the sum over a, b of
+    AE^-1(a) C^-1E(1 - a) B(b) B^-1D(b - 1) A^-1(a - lam b), with every
+    character zero at zero."""
+    ctx = A.ctx
+    c = math.lcm(*(ch.order for ch in (A, B, C, D, E)))
+    x = [ch.exponent_in(c) for ch in
+         (A * E.conj(), C.conj() * E, B, B.conj() * D, A.conj())]
+    counts = [0] * c
+    for a in range(1, ctx.q):
+        for b in range(1, ctx.q):
+            args = (a, ctx.sub(1, a), b, ctx.sub(b, 1), ctx.sub(a, ctx.mul(lam, b)))
+            if 0 not in args:
+                counts[sum(xi * ctx.dlog(y) for xi, y in zip(x, args)) % c] += 1
+    return CycInt.from_zeta_counts(c, counts)
+
+
+@pytest.mark.parametrize("q", [13, 16, 25, 27, 49])
+def test_f32_scaled_at_general_lambda_matches_scalar_double_loop(q):
+    ctx = get_field(q)
+    rng = random.Random(q)
+    for _ in range(3):
+        chars = [MultChar(ctx, rng.randrange(q - 1)) for _ in range(5)]
+        for lam in rng.sample(range(2, q), 3):
+            assert f32_scaled(*chars, lam=lam).value == _f32_double_loop(*chars, lam), (
+                q, [ch.m for ch in chars], lam)
 
 
 def test_histogram_rejects_bad_orders():

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpaley import paley_graph, verify
+from gpaley import hypergeometric, paley_graph, verify
 from gpaley.errors import InvalidCongruence, NonIntegerResult, SizeLimit
-from gpaley.finite_field import build_field
+from gpaley.finite_field import build_field, split_prime_power
 from gpaley.jacobi import EISENSTEIN, solve_quadform
 from gpaley.paley_graph import (CliqueCountResult, K3_closed, K3_corollary,
                                 K4_corollary, K4_subgraph_method, K4_thm1,
@@ -22,7 +22,7 @@ from gpaley.paley_graph import (CliqueCountResult, K3_closed, K3_corollary,
 from gpaley.ramsey_search import admissible_q
 from gpaley.verify import (check_clique_recursions, check_strong_regularity,
                            check_subgraph_props)
-from helpers import get_field, paley_pairs
+from helpers import digit_add, get_field, paley_pairs
 
 
 def test_h_vertices_q13():
@@ -366,7 +366,7 @@ def test_edge_kernel_byte_lookup_popcount(n, monkeypatch):
 
 
 def test_subgraph_count_leaves_the_list_tables_unbuilt():
-    unbuilt = ("exp_table", "log_table", "zech_table", "np_log", "np_zech",
+    unbuilt = ("exp_table", "log_table", "one_minus_table", "np_log",
                "log_one_minus")
     for p, r, k in ((457, 1, 4), (3457, 1, 6), (3, 4, 4), (2, 6, 3)):
         ctx = build_field(p, r)
@@ -375,12 +375,12 @@ def test_subgraph_count_leaves_the_list_tables_unbuilt():
         assert "S" not in vars(build_graph(ctx, k))
         ctx.add(1, 1)                            # a scalar op builds them
         assert [getattr(ctx, name) for name in unbuilt[:3]] == [
-            ctx.np_exp.tolist(), ctx.np_log.tolist(), ctx.np_zech.tolist()]
-        # the subgraph count reads neither the log nor the Zech table
+            ctx.np_exp.tolist(), ctx.np_log.tolist(), ctx.log_one_minus.tolist()]
+        # the subgraph count reads neither the log nor the difference table
         shuffled = build_field(p, r)
         rng = np.random.default_rng(ctx.q)
         shuffled.__dict__["np_log"] = rng.permutation(ctx.np_log)
-        shuffled.__dict__["np_zech"] = rng.permutation(ctx.np_zech)
+        shuffled.__dict__["log_one_minus"] = rng.permutation(ctx.log_one_minus)
         assert not np.array_equal(shuffled.np_log, ctx.np_log), (p, r, k)
         assert clique_count(shuffled, k, 4).count == count, (p, r, k)
 
@@ -410,5 +410,29 @@ def test_difference_table_matches_the_log_sub_form():
         assert any(pq == q for _, pq in pairs), q
     for k, q in pairs:
         g = build_graph(get_field(q), k)
-        d = g.ctx.log_sub(k * np.arange(len(g.S)), 0)
-        assert np.array_equal(_difference_table(g), (d >= 0) & (d % k == 0)), (k, q)
+        x = digit_add(g.ctx, g.ctx.np_exp[::k], 1, -1)     # omega^(kt) - 1
+        expect = (x != 0) & (g.ctx.np_log[x] % k == 0)
+        assert np.array_equal(_difference_table(g), expect), (k, q)
+
+
+def test_graph_routes_share_no_pass_with_the_hypergeometric_routes(monkeypatch):
+    """The naive oracle and the subgraph count read no part of the O(q^2)
+    character-sum pass behind thm1, thm2 and the k = 3, 4 corollaries: with
+    that pass made to raise, they still count K3 and K4 on fresh fields."""
+    def broken(*args):
+        raise RuntimeError("shared character-sum pass called")
+
+    def fresh(q):
+        return build_field(*split_prime_power(q))
+
+    cases = [(2, 13), (2, 25), (3, 16), (3, 31), (4, 41), (5, 41)]
+    monkeypatch.setattr(hypergeometric, "_window_bincount", broken)
+    counts = {(k, q, m, method): clique_count(fresh(q), k, m, method).count
+              for k, q in cases for m in (3, 4) for method in ("naive", "subgraph")}
+    with pytest.raises(RuntimeError, match="shared character-sum pass"):
+        clique_count(fresh(13), 2, 4, "thm1")
+    monkeypatch.undo()
+    for k, q in cases:
+        for m, exact in ((3, "thm"), (4, "thm1")):
+            want = clique_count(fresh(q), k, m, exact).count
+            assert counts[k, q, m, "naive"] == counts[k, q, m, "subgraph"] == want, (k, q, m)
