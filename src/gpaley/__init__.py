@@ -12,9 +12,8 @@ from .cyclotomic import CycInt, cyclotomic_polynomial, zeta_pow
 from .finite_field import (FieldContext, build_field, is_kth_power,
                            kth_power_residues, split_prime_power,
                            validate_paley_params)
-from .hypergeometric import (ScaledHypValue, check_reduction,
-                             check_transformation, f21_scaled, f32_indexed,
-                             f32_scaled)
+from .hypergeometric import (check_reduction, check_transformation,
+                             f21_scaled, f32_indexed, f32_scaled)
 from .jacobi import (J0, JJ0, QuadFormRep, R_k, S_k, binom_symbol_scaled,
                      jacobi_sum, solve_quadform)
 from .orbits import (build_Xk, burnside_Nk, fixed_point_count, generate_group,

@@ -2,8 +2,8 @@
 
 A character is just its exponent multiplier m against the fixed primitive
 element: chi(omega^j) = zeta_(q-1)^(m*j).  Values come back as exact
-cyclotomic integers in the smallest conductor containing the character's
-order (or any requested multiple of it).
+CycInts in the smallest conductor containing the character's order (or any
+requested multiple of it); chi(-1) = +-1 is read off the parity of m.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ class MultChar:
         return zeta_pow(d, x * self.ctx.dlog(a))
 
     def sign_at_minus_one(self) -> int:
-        """chi(-1) as a plain +-1 integer."""
-        return self.eval(self.ctx.neg(1)).as_integer()
+        """chi(-1) as a plain +-1 integer: (-1)^m for odd q, where
+        -1 = omega^((q-1)/2), and 1 for even q, where -1 = 1."""
+        return -1 if self.ctx.q % 2 and self.m % 2 else 1
 
 
 def same_ctx(chars) -> FieldContext:

@@ -88,14 +88,14 @@ def cmd_hyp(args) -> int:
     if len(t) != 5:
         raise GPaleyError("--t needs five comma-separated residues")
     val = f32_indexed(ctx, args.k, t, lam=args.lam)
-    emb = val.value.complex_value()
+    emb = val.complex_value()
     emit({
         "field": ctx.record(),
         "k": args.k,
         "t": list(t),
         "lambda": 1 if args.lam is None else args.lam,
-        "scaled_value": val.value.to_json(),
-        "scale_power": val.scale_power,
+        "scaled_value": val.to_json(),
+        "scale_power": 2,
         "numeric_embedding": [emb.real, emb.imag],
     }, args.format)
     return 0
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="identity and acceptance suites")
     v.add_argument("--paper", action="store_true",
-                   help="full reproduction including searches (minutes)")
+                   help="full reproduction including searches (a few seconds)")
     v.set_defaults(func=cmd_verify)
 
     # each subcommand takes only the shared options its handler reads

@@ -2,24 +2,34 @@
 
 Elements are stored in the power basis 1, zeta, ..., zeta^(phi(k)-1) reduced
 eagerly modulo the k-th cyclotomic polynomial, so equality is plain
-coefficient comparison.  Python integers make every operation exact at any
-size; the complex embedding exists only for diagnostics, never for results.
+coefficient comparison.  Every reduction (a character sum, a product, a
+conjugate, a lift) is one fold of zeta-exponent counts through the sparse
+rows of zeta^0 .. zeta^(k-1), from_zeta_counts.  Python integers make every
+operation exact at any size; the complex embedding is for diagnostics only.
 """
 
 from __future__ import annotations
 
 import cmath
 from functools import lru_cache
+from math import prod
 
 from .errors import ConductorMismatch, NotRational
+from .finite_field import factorize
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
-    """Coefficients of Phi_k, low degree first, computed by exact division
-    of x^k - 1 by the Phi_d for proper divisors d."""
+    """Coefficients of Phi_k, low degree first: Phi_r(x^(k/r)) for r = rad(k),
+    and for squarefree k, x^k - 1 divided by Phi_d for proper divisors d."""
     if k < 1:
         raise ValueError("conductor must be positive")
+    rad = prod(factorize(k))
+    if rad < k:
+        stride = k // rad
+        poly = [0] * ((len(cyclotomic_polynomial(rad)) - 1) * stride + 1)
+        poly[::stride] = cyclotomic_polynomial(rad)
+        return tuple(poly)
     poly = [-1] + [0] * (k - 1) + [1]          # x^k - 1
     for d in range(1, k):
         if k % d == 0:
@@ -48,31 +58,20 @@ def _phi(k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _zeta_power_basis(k: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced coefficient rows for zeta^0 .. zeta^(k-1)."""
-    phi = _phi(k)
-    mod = cyclotomic_polynomial(k)
-    rows = []
-    cur = [0] * phi
-    cur[0] = 1
-    rows.append(tuple(cur))
-    for _ in range(1, k):
-        nxt = [0] + cur[:]                     # multiply by zeta
-        if len(nxt) > phi:
-            lead = nxt.pop()
-            if lead:
-                for j in range(phi):
-                    nxt[j] -= lead * mod[j]
-        cur = nxt
-        rows.append(tuple(cur))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
 def _zeta_sparse_rows(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The nonzero (j, coefficient) pairs of each _zeta_power_basis(k) row."""
-    return tuple(tuple((j, c) for j, c in enumerate(row) if c)
-                 for row in _zeta_power_basis(k))
+    """The nonzero (j, coefficient) pairs of zeta^0 .. zeta^(k-1): the only
+    reduction into Z[zeta_k].  Each row is the previous one times zeta, with
+    zeta^phi replaced by minus the nonzero lower terms of Phi_k."""
+    phi = _phi(k)
+    low = [(j, -c) for j, c in enumerate(cyclotomic_polynomial(k)[:phi]) if c]
+    rows = [((0, 1),)]
+    for _ in range(1, k):
+        nxt = {j + 1: c for j, c in rows[-1]}
+        lead = nxt.pop(phi, 0)
+        for j, c in low:
+            nxt[j] = nxt.get(j, 0) + lead * c
+        rows.append(tuple(sorted((j, c) for j, c in nxt.items() if c)))
+    return tuple(rows)
 
 
 class CycInt:
@@ -103,8 +102,8 @@ class CycInt:
 
     @classmethod
     def from_zeta_counts(cls, k: int, counts) -> CycInt:
-        """Sum of counts[e] * zeta^e for e in range(k); the workhorse behind
-        every character-sum evaluation."""
+        """Sum of counts[e] * zeta^e over the indices e of counts, read mod k;
+        the one fold behind every character sum and ring product."""
         rows = _zeta_sparse_rows(k)
         acc = [0] * _phi(k)
         for e, c in enumerate(counts):
@@ -131,8 +130,6 @@ class CycInt:
         return CycInt(self.k, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = CycInt.integer(self.k, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -142,21 +139,13 @@ class CycInt:
         if isinstance(other, int):
             return CycInt(self.k, tuple(a * other for a in self.coeffs))
         self._check(other)
-        phi = _phi(self.k)
-        prod = [0] * (2 * phi - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        counts = [0] * (2 * len(self.coeffs) - 1)      # counts[i + j]: zeta^(i + j)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        mod = cyclotomic_polynomial(self.k)
-        for i in range(len(prod) - 1, phi - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(phi + 1):
-                    prod[i - phi + j] -= c * mod[j]
-        return CycInt(self.k, prod[:phi])
+                for j, b in terms:
+                    counts[i + j] += a * b
+        return CycInt.from_zeta_counts(self.k, counts)
 
     __rmul__ = __mul__
 
@@ -173,6 +162,8 @@ class CycInt:
         return isinstance(other, CycInt) and self.k == other.k and self.coeffs == other.coeffs
 
     def __hash__(self):
+        if not any(self.coeffs[1:]):           # rational: equal to its int
+            return hash(self.coeffs[0])
         return hash((self.k, self.coeffs))
 
     def __bool__(self):
@@ -216,4 +207,7 @@ class CycInt:
 
 def zeta_pow(k: int, e: int) -> CycInt:
     """Canonical representative of zeta_k^e."""
-    return CycInt(k, _zeta_power_basis(k)[e % k])
+    coeffs = [0] * _phi(k)
+    for j, c in _zeta_sparse_rows(k)[e % k]:
+        coeffs[j] = c
+    return CycInt(k, coeffs)

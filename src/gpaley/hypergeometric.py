@@ -1,12 +1,14 @@
 """Exact 2F1 and 3F2 finite field hypergeometric functions.
 
-Values are always carried with their q-power scaling (q * 2F1, q^2 * 3F2):
-the scaled sums are cyclotomic integers, so the whole pipeline stays exact.
+Each evaluator returns its value times a fixed power of q as a plain CycInt:
+f21_scaled gives q * 2F1, f32_scaled and f32_indexed give q^2 * 3F2.  The
+scaled sums are cyclotomic integers, so the whole pipeline stays exact.
 Each evaluator walks the defining character double sum, histograms the
-root-of-unity exponents, and folds the histogram once; terms with any zero
-argument vanish because every character, the trivial one included, is zero
-at zero.  Every log comes from the field's one difference table
-L(n) = ind(1 - omega^n): with b = a omega^m, ind(a - b) = ind a + L(m).
+root-of-unity exponents, and folds the histogram once through
+CycInt.from_zeta_counts; terms with any zero argument vanish because every
+character, the trivial one included, is zero at zero.  Every log comes from
+the field's one difference table L(n) = ind(1 - omega^n): with
+b = a omega^m, ind(a - b) = ind a + L(m).
 
 Both O(q^2) sums, f32_scaled at any lambda and residue_histogram, run on
 one windowed pass, _window_bincount.  For characters that are powers of one
@@ -23,7 +25,6 @@ included purely as a cross-validation oracle; results never flow from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
@@ -39,23 +40,17 @@ from .jacobi import binom_symbol_scaled
 HIST_K_CAP = 8   # largest k whose k^5-bin lambda=1 histogram is built
 
 
-@dataclass(frozen=True)
-class ScaledHypValue:
-    value: CycInt
-    scale_power: int      # stored value equals q**scale_power times the function
-
-
 def _conductor(chars) -> int:
     return lcm(*(ch.order for ch in chars))
 
 
 def f21_scaled(A: MultChar, B: MultChar, C: MultChar, lam: int,
-               conductor: int | None = None) -> ScaledHypValue:
+               conductor: int | None = None) -> CycInt:
     """q * 2F1(A, B; C | lam) = sum over b of AC^-1(b) B^-1C(1-b) A^-1(b-lam)."""
     ctx = same_ctx((A, B, C))
     c = conductor if conductor is not None else _conductor((A, B, C))
     if lam == 0:
-        return ScaledHypValue(CycInt.zero(c), 1)
+        return CycInt.zero(c)
     x1 = (A * C.conj()).exponent_in(c)
     x2 = (B.conj() * C).exponent_in(c)
     x3 = A.conj().exponent_in(c)
@@ -69,11 +64,11 @@ def f21_scaled(A: MultChar, B: MultChar, C: MultChar, lam: int,
     l_bml = l_omb_lam + (l_lam + ctx.log_neg_one)
     e = (x1 * n + x2 * l_omb + x3 * l_bml)[valid] % c
     counts = np.bincount(e, minlength=c)
-    return ScaledHypValue(CycInt.from_zeta_counts(c, counts.tolist()), 1)
+    return CycInt.from_zeta_counts(c, counts.tolist())
 
 
 def f32_scaled(A: MultChar, B: MultChar, C: MultChar, D: MultChar, E: MultChar,
-               lam: int, conductor: int | None = None) -> ScaledHypValue:
+               lam: int, conductor: int | None = None) -> CycInt:
     """q^2 * 3F2(A, B, C; D, E | lam) over the full (a, b) double sum, in
     the grid (na, m): a = omega^na, a - lam b = a (1 - omega^m), m != 0.
     Codes are reduced mod c | q - 1, so a cell lies in [0, 3c); b = 1
@@ -81,7 +76,7 @@ def f32_scaled(A: MultChar, B: MultChar, C: MultChar, D: MultChar, E: MultChar,
     ctx = same_ctx((A, B, C, D, E))
     c = conductor if conductor is not None else _conductor((A, B, C, D, E))
     if lam == 0:
-        return ScaledHypValue(CycInt.zero(c), 2)
+        return CycInt.zero(c)
     x1 = (A * E.conj()).exponent_in(c)
     x2 = (C.conj() * E).exponent_in(c)
     x3 = B.exponent_in(c)
@@ -96,7 +91,7 @@ def f32_scaled(A: MultChar, B: MultChar, C: MultChar, D: MultChar, E: MultChar,
     # row na = i + 1 reads nb = na + m - ind lam = i + 2 + j - ind lam
     counts = _window_bincount(row, col, lead, 2 - ctx.dlog(lam), 5 * c)
     counts = counts[:3 * c].reshape(3, c).sum(axis=0)
-    return ScaledHypValue(CycInt.from_zeta_counts(c, counts.tolist()), 2)
+    return CycInt.from_zeta_counts(c, counts.tolist())
 
 
 def _window_bincount(row: np.ndarray, col: np.ndarray, lead: np.ndarray,
@@ -193,10 +188,10 @@ def _hist_value(ctx: FieldContext, k: int, t) -> CycInt:
     return CycInt.from_zeta_counts(k, counts.tolist())
 
 
-def f32_indexed(ctx: FieldContext, k: int, t, lam: int | None = None) -> ScaledHypValue:
+def f32_indexed(ctx: FieldContext, k: int, t, lam: int | None = None) -> CycInt:
     """q^2 * 3F2 at the character powers chi_k^(t1..t5), lambda = 1 unless given."""
     if (lam is None or lam == 1) and k <= HIST_K_CAP:
-        return ScaledHypValue(_hist_value(ctx, k, t), 2)
+        return _hist_value(ctx, k, t)
     chi = canonical_char(ctx, k)
     chars = [chi ** ti for ti in t]
     return f32_scaled(*chars, lam=1 if lam is None else lam, conductor=k)
@@ -225,19 +220,19 @@ def check_reduction(case, params) -> bool:
     if case == "2F1":
         A, B, C = params
         c = _conductor(params)
-        lhs = f21_scaled(A, B, C, lam=1, conductor=c).value
+        lhs = f21_scaled(A, B, C, lam=1, conductor=c)
         rhs = A.sign_at_minus_one() * binom_symbol_scaled(B, A.conj() * C,
                                                           conductor=c)
         return lhs == rhs
 
     A, B, C, D, E = params
     c = _conductor(params)
-    lhs = f32_scaled(A, B, C, D, E, lam=1, conductor=c).value
+    lhs = f32_scaled(A, B, C, D, E, lam=1, conductor=c)
 
     if case == 1:
         if not A.is_trivial:
             raise ShapeMismatch("case 1 needs a trivial first top character")
-        rhs = (-f21_scaled(B * D.conj(), C * D.conj(), E * D.conj(), 1, conductor=c).value
+        rhs = (-f21_scaled(B * D.conj(), C * D.conj(), E * D.conj(), 1, conductor=c)
                + binom_symbol_scaled(B, D, conductor=c)
                * binom_symbol_scaled(C, E, conductor=c))
     elif case == 2:
@@ -245,26 +240,26 @@ def check_reduction(case, params) -> bool:
             raise ShapeMismatch("case 2 needs a trivial second top character")
         rhs = (A.sign_at_minus_one()
                * binom_symbol_scaled(D, A, conductor=c)
-               * f21_scaled(A * D.conj(), C * D.conj(), E * D.conj(), 1, conductor=c).value
+               * f21_scaled(A * D.conj(), C * D.conj(), E * D.conj(), 1, conductor=c)
                - D.sign_at_minus_one() * binom_symbol_scaled(C, E, conductor=c))
     elif case == 3:
         if D.m != A.m:
             raise ShapeMismatch("case 3 needs D = A")
         rhs = (binom_symbol_scaled(B, A, conductor=c)
-               * f21_scaled(B, C, E, 1, conductor=c).value
+               * f21_scaled(B, C, E, 1, conductor=c)
                - A.conj().sign_at_minus_one()
                * binom_symbol_scaled(C * A.conj(), E * A.conj(), conductor=c))
     elif case == 4:
         if D.m != B.m:
             raise ShapeMismatch("case 4 needs D = B")
-        rhs = (-f21_scaled(A, C, E, 1, conductor=c).value
+        rhs = (-f21_scaled(A, C, E, 1, conductor=c)
                + binom_symbol_scaled(A * B.conj(), B.conj(), conductor=c)
                * binom_symbol_scaled(C * B.conj(), E * B.conj(), conductor=c))
     elif case == 5:
         if E.m != B.m:
             raise ShapeMismatch("case 5 needs E = B")
         rhs = (binom_symbol_scaled(C * D.conj(), B * D.conj(), conductor=c)
-               * f21_scaled(A, C, D, 1, conductor=c).value
+               * f21_scaled(A, C, D, 1, conductor=c)
                - (B * D).sign_at_minus_one()
                * binom_symbol_scaled(A * B.conj(), B.conj(), conductor=c))
     elif case == 6:
@@ -312,8 +307,8 @@ def check_transformation(case, params) -> bool:
     A, B, C, D, E = params
     sign, new = _transformed_params(case, A, B, C, D, E)
     c = _conductor(params)
-    lhs = f32_scaled(A, B, C, D, E, lam=1, conductor=c).value
-    rhs = sign * f32_scaled(*new, lam=1, conductor=c).value
+    lhs = f32_scaled(A, B, C, D, E, lam=1, conductor=c)
+    rhs = sign * f32_scaled(*new, lam=1, conductor=c)
     return lhs == rhs
 
 

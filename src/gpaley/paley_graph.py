@@ -355,7 +355,7 @@ def xk_orbit_sum(ctx: FieldContext, k: int) -> int:
     dec = orbit_decompose(k)
     total = None
     for rep, size in dec.rep_sizes():
-        v = f32_indexed(ctx, k, rep).value * size
+        v = f32_indexed(ctx, k, rep) * size
         total = v if total is None else total + v
     return total.as_integer()
 
@@ -382,14 +382,14 @@ def K4_corollary(ctx: FieldContext, k: int) -> CliqueCountResult:
                            2 ** 9 * 3, "K4 k=2")
     elif k == 3:
         c = solve_quadform(EISENSTEIN, ctx).a
-        hyp = f32_indexed(ctx, 3, (1, 1, 2, 0, 0)).value.as_integer()
+        hyp = f32_indexed(ctx, 3, (1, 1, 2, 0, 0)).as_integer()
         bracket = q * q + 5 * q * (c - 11) + 10 * c * c - 85 * c + 316 + 12 * hyp
         count = _exact_div(q * (q - 1) * bracket, 2 ** 3 * 3 ** 7, "K4 k=3")
     elif k == 4:
         x = solve_quadform(TWO_SQUARES, ctx).a
         u = solve_quadform(TWO_TIMES_SQUARE, ctx).a
-        hyp1 = f32_indexed(ctx, 4, (1, 1, 3, 0, 0)).value.as_integer()
-        hyp2 = f32_indexed(ctx, 4, (1, 2, 2, 0, 0)).value.as_integer()
+        hyp1 = f32_indexed(ctx, 4, (1, 1, 3, 0, 0)).as_integer()
+        hyp2 = f32_indexed(ctx, 4, (1, 2, 2, 0, 0)).as_integer()
         bracket = (q * q - 2 * q * (15 * x + 101) + 304 * x * x
                    + (930 - 40 * u) * x + 801 + 120 * u * u
                    + 12 * hyp1 + 30 * hyp2)

@@ -43,6 +43,8 @@ PAPER_BOUNDS = {
 
 # ranges the searches explicitly swept (known upper bounds for R_k(4))
 STATED_QMAX = {(4, 2): 40, (4, 3): 230, (4, 4): 6306}
+# how far the other searches scan past their witness
+WITNESS_MARGIN = 40
 
 
 def admissible_q(k: int, q_max: int) -> list[int]:
@@ -125,14 +127,20 @@ def _require(check: CliqueCountResult, rec: SearchRecord) -> None:
             f"the {rec.method} count {rec.count}")
 
 
+def _rechecks(k: int, m: int, q: int, rec: SearchRecord, sampled: bool) -> list[str]:
+    """The routes_for(k, m, q) methods that recount rec: every one but its
+    own when q is sampled, else naive when rec is a zero and naive applies."""
+    return [method for method in routes_for(k, m, q) if method != rec.method
+            and (sampled or (method == "naive" and rec.count == 0))]
+
+
 def _search_q(args: tuple) -> SearchRecord:
     """One q of a search: its count and its checks on one field build.
 
     args is (k, q, m, rec, sampled).  With rec None, q is counted through
     clique_count's auto route; otherwise rec is a cached record, taken as
-    it is.  On the same field, a sampled q is recounted by every route of
-    routes_for other than the record's own, and a zero count by naive when
-    it applies.  The record is returned only when every recount agrees."""
+    it is.  On the same field, the record is recounted by each _rechecks
+    method, and returned only when every recount agrees."""
     k, q, m, rec, sampled = args
     t0 = time.perf_counter()
     ctx = build_field(*split_prime_power(q))
@@ -140,9 +148,8 @@ def _search_q(args: tuple) -> SearchRecord:
         res = clique_count(ctx, k, m)
         rec = SearchRecord(q, res.count, res.method, time.perf_counter() - t0,
                            ctx.record())
-    for method in routes_for(k, m, q):
-        if method != rec.method and (sampled or (method == "naive" and rec.count == 0)):
-            _require(ROUTES[m, method](ctx, k), rec)
+    for method in _rechecks(k, m, q, rec, sampled):
+        _require(ROUTES[m, method](ctx, k), rec)
     return rec
 
 
@@ -157,9 +164,10 @@ def search_zeros(k: int, m: int, q_max: int, *, jobs: int = 1,
     and a zero by the naive oracle when routes_for lists it (q up to
     ORACLE_CAP[m]).
 
-    A cached record is reused without building its field, unless its q is
-    sampled or it is a zero the oracle can recount: then it goes through
-    the same checks, with the cached count in place of a fresh one.  A
+    A cached record is reused without building its field, unless _rechecks
+    lists a method for it (its q is sampled, or it is a zero the oracle can
+    recount): then it goes through the same checks, with the cached count in
+    place of a fresh one.  A
     recount that disagrees raises CrossCheckMismatch.  Only fresh records
     whose checks passed are appended to the cache, so a count that failed
     its checks is never cached.  Any other per-q error stops the scan: the
@@ -180,8 +188,7 @@ def search_zeros(k: int, m: int, q_max: int, *, jobs: int = 1,
     work = []
     for q in qs:
         rec = cache.get((k, q, m))
-        if (rec is None or q in sample
-                or (rec.count == 0 and "naive" in routes_for(k, m, q))):
+        if rec is None or _rechecks(k, m, q, rec, q in sample):
             work.append((k, q, m, rec, q in sample))
         else:
             results[q] = rec
@@ -207,22 +214,21 @@ def search_zeros(k: int, m: int, q_max: int, *, jobs: int = 1,
                         partial=error is not None, error=error)
 
 
-def paper_bounds_suite(*, jobs: int = 1, margin: int = 40,
-                       cache_path: str | None = None, seed: int = 0) -> dict:
+def paper_bounds_suite(*, jobs: int = 1) -> dict:
     """Run all ten searches and assert the published bounds and witnesses.
 
     For ranges the source stated explicitly, any extra zero is an error.  For
-    the searches where only the bound is published, the scan extends a margin
-    past the witness and unexpected zeros beyond it are flagged, not fatal.
+    the searches where only the bound is published, the scan extends
+    WITNESS_MARGIN past the witness and unexpected zeros beyond it are
+    flagged, not fatal.
     """
     suite: dict = {"searches": [], "flags": []}
     for m in (4, 3):
         for k in range(2, 7):
             bound, witness = PAPER_BOUNDS[(m, k)]
             stated = STATED_QMAX.get((m, k))
-            q_max = stated if stated is not None else witness + margin
-            rep = search_zeros(k, m, q_max, jobs=jobs, cache_path=cache_path,
-                               seed=seed)
+            q_max = stated if stated is not None else witness + WITNESS_MARGIN
+            rep = search_zeros(k, m, q_max, jobs=jobs)
             if rep.partial:
                 raise MismatchAgainstPaper(
                     f"k={k}, m={m}: search aborted ({rep.error})")

@@ -115,16 +115,16 @@ def check_section6_values() -> CheckResult:
     ctx127 = field_for(127)
     if solve_quadform(EISENSTEIN, ctx127).a != -20:
         failures.append("c at 127")
-    if f32_indexed(ctx127, 3, (1, 1, 2, 0, 0)).value.as_integer() != -205:
+    if f32_indexed(ctx127, 3, (1, 1, 2, 0, 0)).as_integer() != -205:
         failures.append("3F2 at 127")
     ctx457 = field_for(457)
     if solve_quadform(TWO_SQUARES, ctx457).a != 21:
         failures.append("x at 457")
     if solve_quadform(TWO_TIMES_SQUARE, ctx457).a != -13:
         failures.append("u at 457")
-    if f32_indexed(ctx457, 4, (1, 1, 3, 0, 0)).value.as_integer() != 290:
+    if f32_indexed(ctx457, 4, (1, 1, 3, 0, 0)).as_integer() != 290:
         failures.append("3F2 (chi4,chi4,conj) at 457")
-    if f32_indexed(ctx457, 4, (1, 2, 2, 0, 0)).value.as_integer() != -590:
+    if f32_indexed(ctx457, 4, (1, 2, 2, 0, 0)).as_integer() != -590:
         failures.append("3F2 (chi4,phi,phi) at 457")
     return _result("intermediate search values", failures, 6)
 
@@ -373,10 +373,10 @@ def check_orbit_invariance(seed: int = IDENTITY_SEED, q_limit: int = 61,
         group = generate_group(k)
         for _ in range(6):
             t = xk[rng.randrange(len(xk))]
-            ref = f32_indexed(ctx, k, t).value
+            ref = f32_indexed(ctx, k, t)
             g = group[rng.randrange(len(group))]
             instances += 1
-            if f32_indexed(ctx, k, g.apply(t)).value != ref:
+            if f32_indexed(ctx, k, g.apply(t)) != ref:
                 failures.append((k, q, t, g.name))
     return _result("orbit invariance of 3F2", failures, instances, minimum=min_cases)
 
@@ -394,7 +394,7 @@ def check_exact_vs_numeric(seed: int = IDENTITY_SEED, q_limit: int = 61,
         chi = canonical_char(ctx, k)
         for _ in range(3):
             t = tuple(rng.randrange(k) for _ in range(5))
-            exact = f32_indexed(ctx, k, t).value.complex_value()
+            exact = f32_indexed(ctx, k, t).complex_value()
             chars = [chi ** ti for ti in t]
             numeric = q * q * f32_definitional_numeric(*chars, lam=1)
             instances += 1
@@ -402,7 +402,7 @@ def check_exact_vs_numeric(seed: int = IDENTITY_SEED, q_limit: int = 61,
                 failures.append(("3F2", k, q, t))
             a, b, c = (chi ** rng.randrange(k) for _ in range(3))
             lam = rng.randrange(1, q)
-            exact2 = f21_scaled(a, b, c, lam, conductor=k).value.complex_value()
+            exact2 = f21_scaled(a, b, c, lam, conductor=k).complex_value()
             numeric2 = q * f21_definitional_numeric(a, b, c, lam)
             instances += 1
             if abs(exact2 - numeric2) > tol:
@@ -438,7 +438,7 @@ def check_subgraph_props(q_limit: int = 61, ks=(2, 3, 4, 5, 6),
                     for t2 in range(k):
                         for t3 in range(k):
                             total = total + f21_scaled(chi ** t1, chi ** t2, chi ** t3,
-                                                       lam=a, conductor=k).value
+                                                       lam=a, conductor=k)
                 instances += 1
                 if total.as_integer() != d1 * k ** 3:
                     failures.append(("(e)", k, q, a))

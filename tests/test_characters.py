@@ -56,6 +56,14 @@ def test_char_at_one_and_minus_one():
         assert chi.eval(get_field(q).neg(1)).as_integer() == 1
 
 
+@pytest.mark.parametrize("q", [13, 16, 25, 27, 64])
+def test_sign_at_minus_one_is_the_value_at_minus_one(q):
+    ctx = get_field(q)
+    for m in range(q - 1):
+        chi = MultChar(ctx, m)
+        assert chi.sign_at_minus_one() == chi.eval(ctx.neg(1)).as_integer(), m
+
+
 def test_char_of_omega_is_primitive_root_of_unity():
     for q in (13, 16, 41):
         ctx = get_field(q)

@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from gpaley.cyclotomic import (CycInt, _zeta_power_basis, cyclotomic_polynomial,
-                               zeta_pow)
+from gpaley.cyclotomic import CycInt, cyclotomic_polynomial, zeta_pow
 from gpaley.errors import ConductorMismatch, NotRational
 
 KNOWN_PHI = {
@@ -22,6 +21,22 @@ KNOWN_PHI = {
 @pytest.mark.parametrize("k,coeffs", sorted(KNOWN_PHI.items()))
 def test_cyclotomic_polynomials(k, coeffs):
     assert cyclotomic_polynomial(k) == coeffs
+
+
+def test_cyclotomic_polynomials_multiply_to_x_k_minus_1():
+    # prod over d | k of Phi_d = x^k - 1, multiplied out term by term
+    for k in range(1, 401):
+        acc = [1]
+        for d in range(1, k + 1):
+            if k % d == 0:
+                phi_d = [(j, c) for j, c in enumerate(cyclotomic_polynomial(d)) if c]
+                out = [0] * (len(acc) + len(cyclotomic_polynomial(d)) - 1)
+                for i, a in enumerate(acc):
+                    if a:
+                        for j, c in phi_d:
+                            out[i + j] += a * c
+                acc = out
+        assert acc == [-1] + [0] * (k - 1) + [1], k
 
 
 def test_zeta_pow_basics():
@@ -110,10 +125,22 @@ def test_from_zeta_counts():
     assert CycInt.from_zeta_counts(4, counts) == expected
 
 
-def dense_from_zeta_counts(k, counts):
-    """Reference: every entry of each power-basis row, zeros included."""
-    rows = _zeta_power_basis(k)
-    phi = len(rows[0])
+def dense_zeta_rows(k):
+    """Reference: zeta^0 .. zeta^(k-1) as full power-basis rows, zeros
+    included, each the previous row times zeta reduced by all of Phi_k."""
+    mod = cyclotomic_polynomial(k)
+    rows, cur = [], [1] + [0] * (len(mod) - 2)
+    for _ in range(k):
+        rows.append(cur)
+        nxt = [0] + cur
+        lead = nxt.pop()
+        cur = [a - lead * b for a, b in zip(nxt, mod)]
+    return rows
+
+
+def dense_from_zeta_counts(rows, counts):
+    """Reference: every entry of each row, zeros included."""
+    k, phi = len(rows), len(rows[0])
     acc = [0] * phi
     for e, c in enumerate(counts):
         for j in range(phi):
@@ -121,16 +148,44 @@ def dense_from_zeta_counts(k, counts):
     return tuple(acc)
 
 
+def dense_mul(rows, a, b):
+    """Reference product: the schoolbook polynomial product, folded by rows."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return dense_from_zeta_counts(rows, prod)
+
+
 def test_from_zeta_counts_matches_the_dense_loop():
     rng = random.Random(23)
-    for k in range(1, 121):
+    for k in [*range(1, 121), 360, 864]:
+        rows = dense_zeta_rows(k)
+        phi = len(rows[0])
         for _ in range(3):
             # some zero counts, some past 2^63, and a second lap past k
             counts = [rng.choice((0, rng.randrange(-9, 10),
                                   rng.randrange(-2 ** 80, 2 ** 80)))
                       for _ in range(k + rng.randrange(2))]
             got = CycInt.from_zeta_counts(k, counts).coeffs
-            assert got == dense_from_zeta_counts(k, counts), k
+            assert got == dense_from_zeta_counts(rows, counts), k
+            a, b = ([rng.choice((0, rng.randrange(-2 ** 40, 2 ** 40)))
+                     for _ in range(phi)] for _ in range(2))
+            assert (CycInt(k, a) * CycInt(k, b)).coeffs == dense_mul(rows, a, b), k
+        for e in range(-k, 2 * k):
+            assert zeta_pow(k, e).coeffs == tuple(rows[e % k]), (k, e)
+
+
+def test_hash_agrees_with_equality():
+    assert CycInt.integer(4, 5) == 5
+    assert len({CycInt.integer(4, 5), 5}) == 1
+    assert hash(CycInt.zero(12)) == hash(0)
+    a = zeta_pow(12, 5) + 3
+    for b in (zeta_pow(12, 2) * zeta_pow(12, 3) + 3,
+              zeta_pow(12, 7).conj() + 3,
+              CycInt.from_zeta_counts(12, [3, 0, 0, 0, 0, 1])):
+        assert a == b and hash(a) == hash(b)
+    assert len({a, zeta_pow(12, 5) + 3, 3}) == 2
 
 
 def test_json_round_shape():
