@@ -157,9 +157,14 @@ class CycInt:
         return CycInt.from_zeta_counts(self.k, counts)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self == CycInt.integer(self.k, other)
-        return isinstance(other, CycInt) and self.k == other.k and self.coeffs == other.coeffs
+        """Rational values compare by their integer, whatever the conductor
+        (so == is transitive and agrees with __hash__); other values need
+        the same conductor."""
+        if isinstance(other, CycInt) and self.k == other.k:
+            return self.coeffs == other.coeffs
+        if isinstance(other, CycInt) and not any(other.coeffs[1:]):
+            other = other.coeffs[0]
+        return isinstance(other, int) and not any(self.coeffs[1:]) and self.coeffs[0] == other
 
     def __hash__(self):
         if not any(self.coeffs[1:]):           # rational: equal to its int

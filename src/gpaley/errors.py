@@ -53,5 +53,9 @@ class MismatchAgainstPaper(GPaleyError):
     """A reproduced search disagrees with the published bound or witness."""
 
 
+class InexactTransform(GPaleyError):
+    """A floating-point correlation failed a rounding, mass or symmetry guard."""
+
+
 class CrossCheckMismatch(GPaleyError):
     """An independent route or the naive oracle disagrees with a search count."""

@@ -150,9 +150,12 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 
 def _smallest_irreducible(p: int, r: int) -> list[int]:
     """First monic degree-r irreducible when the lower coefficients are read
-    as a base-p integer (so x^4+x+1 for p=2, r=4)."""
+    as a base-p integer (so x^4+x+1 for p=2, r=4).  For r > 1 a root at 0
+    or 1 is a linear factor, so those candidates skip the Rabin test."""
     for m in range(p ** r):
         f = _coeffs(m, p, r) + [1]
+        if r > 1 and (f[0] == 0 or sum(f) % p == 0):
+            continue
         if _is_irreducible(f, p):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable

@@ -10,10 +10,14 @@ character, the trivial one included, is zero at zero.  Every log comes from
 the field's one difference table L(n) = ind(1 - omega^n): with
 b = a omega^m, ind(a - b) = ind a + L(m).
 
-Both O(q^2) sums, f32_scaled at any lambda and residue_histogram, run on
-one windowed pass, _window_bincount.  For characters that are powers of one
+f32_scaled, at any lambda and any characters, runs the direct O(q^2)
+windowed pass, _window_bincount.  For characters that are powers of one
 order-k character, residue_histogram counts the residue patterns of all
 (a, b) pairs once per (q, k), and every lambda = 1 value is a fold of it.
+It counts them by k^3 cyclic correlations in float64 (numpy's pocketfft,
+O(k^3 q log q)) whose class sums must round within 1/4, match the exact
+total mass and obey the a <-> b swap law before any bin is kept, so no
+count flows from an unchecked float; f32_scaled is its independent oracle.
 
 The reduction and transformation checkers compare both sides of the known
 identities after clearing all denominators by powers of q; they return a
@@ -33,11 +37,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .characters import MultChar, canonical_char, check_order, same_ctx
 from .cyclotomic import CycInt
-from .errors import ShapeMismatch, SizeLimit
-from .finite_field import BLOCK_ELEMENTS, FieldContext
+from .errors import InexactTransform, ShapeMismatch, SizeLimit
+from .finite_field import BLOCK_ELEMENTS, FieldContext, factorize
 from .jacobi import binom_symbol_scaled
 
 HIST_K_CAP = 8   # largest k whose k^5-bin lambda=1 histogram is built
+RADIX_CAP = 150  # a larger prime factor of q - 1 pads the correlation length
+CORRELATION_BLOCK = 1 << 16   # float64 cells per row block of correlations
 
 
 def _conductor(chars) -> int:
@@ -126,52 +132,151 @@ def _index_vectors(k: int) -> np.ndarray:
     return np.ascontiguousarray(grid.astype(np.int64))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _relabel_index(k: int) -> np.ndarray:
+    """Bin (i, u, j, v, w) reads class sum [(i, u), v, (j - i, w - i)] of the
+    (k^2, k, k^2 + 1) correlation counts."""
+    i, u, j, v, w = _index_vectors(k).T
+    return _frozen(np.ravel_multi_index((i * k + u, v, (j - i) % k * k + (w - i) % k),
+                                        (k * k, k, k * k + 1)))
+
+
+@lru_cache(maxsize=None)
+def _swap_index(k: int, e: int) -> np.ndarray:
+    """Bin (i, u, j, v, w) -> (j, v - e, i, u + e, w + e): a and b swapped."""
+    i, u, j, v, w = _index_vectors(k).T
+    return _frozen(np.ravel_multi_index((j, (v - e) % k, i, (u + e) % k, (w + e) % k),
+                                        (k,) * 5))
+
+
 def residue_histogram(ctx: FieldContext, k: int) -> np.ndarray:
     """Counts of the residue pattern (rho(a), rho(1-a), rho(b), rho(b-1),
     rho(a-b)) over pairs a != b in F_q minus {0, 1}, rho = dlog mod k, as
-    k^5 int64 bins in that digit order.  One exact O(q^2) pass feeds every
+    k^5 int64 bins in that digit order.  One exact pass feeds every
     lambda=1 indexed 3F2 at this (q, k).
 
     All three labels come from L(n) = ind(1 - omega^n) (ctx.log_one_minus).
     With N = q - 1, e = rho(-1), a = omega^na and b = a omega^m:
     rho(1 - a) = L(na), rho(b - 1) = L(nb) + e, rho(a - b) = rho(a) + L(m).
-    Swapping a and b moves bin (i, u, j, v, w) to (j, v - e, i, u + e, w + e),
-    so the pass counts each unordered pair once and adds the swap-relabelled
-    copy: the pair with m in [1, (N-1)/2], and for even N the pair with
-    m = N/2 (b = -a) and na < N/2.
+    So a pair is an a-class (i, u) = (na mod k, L(na) mod k) at na, a
+    b-class v = L(nb) + e mod k at nb = na + m, and an m-class (s, t) =
+    (m mod k, L(m) mod k), and lands in bin (i, u, i + s, v, i + t).  The
+    k^3 cyclic correlations of the class indicators, summed over each
+    m-class (_class_correlations), are the histogram; m = 0 (a = b) is a
+    class of its own and is dropped.
 
-    In the (na, m) grid the b codes of row na are the contiguous window
-    col[na+1 : na+1+half] of a doubled column array, and the L(m) digit is
-    one vector every row shares (_window_bincount).  The rho(a-b) digit
-    leads and is summed unreduced, in [0, 2k), then folded mod k; b = 1
-    carries a sentinel code that lands past those 2k^5 bins."""
+    Beyond the kernel's guards, the m = 0 class must equal a direct count
+    of the n in both classes, and the bins must obey the swap law
+    (i, u, j, v, w) <-> (j, v - e, i, u + e, w + e); a failure raises
+    InexactTransform and caches nothing."""
     check_order(ctx, k)
     if k > HIST_K_CAP:
         raise SizeLimit(f"k^5 histogram bins need k <= {HIST_K_CAP}, got k={k}")
     key = ("f32hist", k)
     if key in ctx._caches:
         return ctx._caches[key]
-    N, k4 = ctx.q - 1, k ** 4
-    e = ctx.log_neg_one % k
-    n = np.arange(N)                           # na, nb, m
+    kk, e = k * k, ctx.log_neg_one % k
     one_minus = ctx.log_one_minus % k          # rho(1 - omega^n); n = 0 unread
-    row = n % k * (k4 + k ** 3) + one_minus * k * k          # rho(a) twice, rho(1 - a)
-    col = n % k * k + (one_minus + e) % k                    # rho(b), rho(b - 1)
-    col[0] = 2 * k * k4                                      # b = 1
-    half = (N - 1) // 2                                      # m in [1, half]
-    lead = one_minus[1:half + 1] * k4                        # rho(1 - omega^m)
-    # row na = i + 1 (na = 0 is a = 1) reads nb = na + m, m = j + 1
-    hist = _window_bincount(row[1:], col, lead, 2, 4 * k * k4)
-    if N % 2 == 0:                             # b = -a, once per pair
-        h = N // 2
-        hist += np.bincount(row[1:h] + col[h + 1:N] + one_minus[h] * k4,
-                            minlength=len(hist))
-    low, high, _, _ = hist.reshape(4, k, k4)   # b = 1 lands in the last two
-    once = (low + high).reshape((k,) * 5)      # [w, i, u, j, v]
-    swapped = np.roll(once.transpose(3, 4, 1, 2, 0), (-e, e, e), axis=(1, 3, 4))
-    hist = (once.transpose(1, 2, 3, 4, 0) + swapped).ravel()
+    a_cls = np.arange(ctx.q - 1) % k * k + one_minus       # (rho(a), rho(1 - a))
+    b_cls = (one_minus + e) % k                             # rho(b - 1)
+    m_cls = a_cls.copy()                                    # (s, t) at m
+    a_cls[0] = b_cls[0] = -1                                # a, b != 1
+    m_cls[0] = kk                                           # a = b
+    counts = _class_correlations(a_cls, b_cls, m_cls, kk, k, kk + 1)
+    direct = np.bincount(a_cls[1:] * k + b_cls[1:], minlength=kk * k)
+    if not np.array_equal(counts[:, :, kk].ravel(), direct):
+        raise InexactTransform(f"GF({ctx.q}), k={k}: the a = b class is off")
+    hist = counts.ravel()[_relabel_index(k)]
+    if not np.array_equal(hist, hist[_swap_index(k, e)]):
+        raise InexactTransform(f"GF({ctx.q}), k={k}: bins break the swap law")
     ctx._caches[key] = hist
     return hist
+
+
+def _transform_length(N: int) -> int:
+    """The pocketfft length for a period-N correlation: N itself, unless N
+    has a prime factor above RADIX_CAP; then the smallest 2^a 3^b 5^c >=
+    2N - 1, which holds the linear correlation against a doubled b row.
+    pocketfft runs a prime factor p by a generic O(p)-per-element pass or
+    by Bluestein.  Timed on residue_histogram at k = 6 over the primes
+    q = 1 mod 12 in [5000, 8000) whose q - 1 has its largest prime factor p
+    in [40, 400] (2-core VM), the unpadded length won at every p <= 139
+    but p = 97 (by 1 ms), and the padded one at every p >= 151 (q = 7369,
+    p = 307: 100 vs 63 ms)."""
+    if max(factorize(N), default=1) <= RADIX_CAP:
+        return N
+    want, best, p5 = 2 * N - 1, 4 * N, 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            size = p35
+            while size < want:
+                size *= 2
+            best = min(best, size)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _class_correlations(a_cls: np.ndarray, b_cls: np.ndarray, m_cls: np.ndarray,
+                        n_a: int, n_b: int, n_m: int) -> np.ndarray:
+    """Exact int64 counts [alpha, beta, gamma] of the (n, m) in Z_N^2 with
+    a_cls[n] = alpha, b_cls[n + m mod N] = beta and m_cls[m] = gamma,
+    N = len(a_cls); class -1 marks an n no a (or b) row holds.
+
+    Each a row is an indicator A_alpha, each b row B_beta, and their cyclic
+    correlation X[m] = sum_n A[n] B[n + m] is irfft(conj(rfft A) rfft B) at
+    the _transform_length size; one bincount per row block sums X over the
+    m-classes.  No matrix product is used, so no BLAS thread pool runs.
+
+    Guards, each raising InexactTransform: every class sum rounds to an
+    integer within 1/4, and each (alpha, beta) row of counts sums to
+    |A_alpha| |B_beta|.  A priori, with u = 2^-53 and a transform of size
+    S <= 4N, pocketfft's normwise error is at most about c u log2 S
+    (Higham, Accuracy and Stability, 2nd ed., sec. 24.1; c = 10 is ample),
+    so a correlation of 0/1 rows of weight <= N is off by at most
+    3 c u log2(S) N^1.5 in the 2-norm and its sum over <= N entries by
+    3 c u log2(S) N^2, and the bincount's float64 additions add at most
+    u N^3.  That totals under 0.04 for N < 2^16 and reaches about 1/4 at
+    N = 2^17, where the guard alone decides."""
+    N = len(a_cls)
+    size = _transform_length(N)
+    n = np.arange(N)
+    has_b = b_cls >= 0
+    b = np.zeros((n_b, size))
+    b[b_cls[has_b], n[has_b]] = 1.0
+    if size > N:                               # linear correlation: B doubled
+        b[:, N:2 * N - 1] = b[:, :N - 1]
+    fb = np.fft.rfft(b)
+    order = np.argsort(a_cls, kind="stable")
+    cuts = np.searchsorted(a_cls[order], np.arange(n_a + 1))
+    per = max(1, min(n_a, CORRELATION_BLOCK // (n_b * size)))   # a rows per block
+    idx = (np.arange(per * n_b)[:, None] * n_m + m_cls).ravel()
+    sums = np.empty((n_a, n_b, n_m))
+    for start in range(0, n_a, per):
+        rows = min(per, n_a - start)
+        held = order[cuts[start]:cuts[start + rows]]
+        a = np.zeros((rows, N))
+        a[a_cls[held] - start, held] = 1.0
+        fa = np.conj(np.fft.rfft(a, size))
+        x = np.fft.irfft((fa[:, None, :] * fb).reshape(rows * n_b, -1), size)
+        sums[start:start + rows] = np.bincount(
+            idx[:rows * n_b * N], weights=x[:, :N].ravel(), minlength=rows * n_b * n_m
+        ).reshape(rows, n_b, n_m)
+    counts = np.rint(sums)
+    if not np.abs(sums - counts).max(initial=0.0) < 0.25:
+        raise InexactTransform(f"N={N}: a class sum is not within 1/4 of an integer")
+    counts = counts.astype(np.int64)
+    size_a = np.bincount(a_cls[a_cls >= 0], minlength=n_a)
+    size_b = np.bincount(b_cls[has_b], minlength=n_b)
+    if not np.array_equal(counts.sum(axis=2), size_a[:, None] * size_b):
+        raise InexactTransform(f"N={N}: class sums miss the total mass |A| |B|")
+    return counts
 
 
 def _coef_vector(k: int, t) -> np.ndarray:

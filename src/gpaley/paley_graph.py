@@ -24,8 +24,12 @@ The K4 routes and the kernels they read:
 The K3 routes: thm (the R_k closed form), subgraph (q #E(H) / 3 by
 _edge_count), corollary (k = 2, 3, 4, quadratic forms) and naive.
 
-thm1, thm2 and the k = 3, 4 K4 corollaries share residue_histogram, so one
-fault there moves them together; the naive and subgraph routes do not.
+thm1, thm2 and the k = 3, 4 K4 corollaries share residue_histogram, k^3
+float64 pocketfft correlations (hypergeometric._class_correlations) that
+raise InexactTransform unless their class sums round within 1/4, match the
+exact mass and obey the a <-> b swap law.  One fault there moves the three
+together; the naive and subgraph routes read neither it nor the direct
+windowed pass (a test makes both raise).
 
 ROUTES holds every route by (m, method), and routes_for(k, m, q) the ones
 within their limits; clique_count, verify's cross-method check and the

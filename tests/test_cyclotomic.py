@@ -188,6 +188,16 @@ def test_hash_agrees_with_equality():
     assert len({a, zeta_pow(12, 5) + 3, 3}) == 2
 
 
+def test_rational_equality_is_transitive_across_conductors():
+    assert CycInt.integer(4, 5) == CycInt.integer(3, 5) == 5
+    assert len({CycInt.integer(4, 5), CycInt.integer(3, 5), 5}) == 1
+    assert len({5, CycInt.integer(3, 5), CycInt.integer(4, 5)}) == 1
+    assert CycInt.integer(4, 5) != CycInt.integer(3, 6)
+    # an irrational value still needs its own conductor
+    assert zeta_pow(4, 1) != zeta_pow(8, 2) and zeta_pow(4, 1) != 0
+    assert zeta_pow(4, 1) != CycInt.integer(3, 0)
+
+
 def test_json_round_shape():
     a = zeta_pow(8, 3)
     assert a.to_json() == {"k": 8, "coeffs": [0, 0, 0, 1]}

@@ -69,6 +69,26 @@ def test_gf16_modulus_is_first_irreducible():
     assert first == ctx.modulus
 
 
+def test_smallest_irreducible_matches_sympy():
+    """For every p^r <= 2^16 with r >= 2, the modulus is irreducible and
+    every candidate before it in base-p order is reducible (sympy's test,
+    coefficients high degree first)."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    fields = [(p, r) for p in range(2, 257) if is_prime(p)
+              for r in range(2, 17) if p ** r <= 2 ** 16]
+    assert len(fields) == 93
+    for p, r in fields:
+        f = finite_field._smallest_irreducible(p, r)
+        assert len(f) == r + 1 and f[-1] == 1, (p, r)
+        assert gf_irreducible_p(f[::-1], p, ZZ), (p, r)
+        value = sum(c * p ** i for i, c in enumerate(f[:-1]))
+        for m in range(value):
+            g = [m // p ** i % p for i in range(r)] + [1]
+            assert not gf_irreducible_p(g[::-1], p, ZZ), (p, r, m)
+
+
 def test_composite_p_rejected():
     with pytest.raises(CompositeP):
         build_field(6, 1)

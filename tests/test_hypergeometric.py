@@ -9,12 +9,13 @@ import pytest
 
 from gpaley.characters import MultChar, canonical_char, trivial_char
 from gpaley.cyclotomic import CycInt
-from gpaley.errors import OrderNotDividing, ShapeMismatch
-from gpaley.finite_field import BLOCK_ELEMENTS, build_field, row_blocks
-from gpaley.hypergeometric import (check_reduction, check_transformation,
-                                   f21_definitional_numeric, f21_scaled,
-                                   f32_definitional_numeric, f32_full_grid_sum,
-                                   f32_indexed, f32_scaled,
+from gpaley.errors import (GPaleyError, InexactTransform, OrderNotDividing,
+                           ShapeMismatch)
+from gpaley.finite_field import BLOCK_ELEMENTS, build_field, factorize, row_blocks
+from gpaley.hypergeometric import (RADIX_CAP, _transform_length, check_reduction,
+                                   check_transformation, f21_definitional_numeric,
+                                   f21_scaled, f32_definitional_numeric,
+                                   f32_full_grid_sum, f32_indexed, f32_scaled,
                                    residue_histogram)
 from gpaley.jacobi import solve_quadform
 from gpaley.verify import (check_exact_vs_numeric, check_orbit_invariance,
@@ -114,23 +115,78 @@ def _full_grid_histogram(ctx, k):
     return (low + high).T.ravel()
 
 
-# (p, r, ks): a prime with k = 6; GF(3^8); GF(2^10) with N = q - 1 odd;
+# (p, r, ks): primes with k = 6 whose q - 1 = 2^7 3^3 keeps its length and
+# q - 1 = 2^2 3 191 is padded; GF(3^8); GF(2^10) with N = q - 1 odd;
 # GF(7^3); q = 97 over several k; q = 13, k = 4 and q = 25, k = 8, where
-# rho(-1) = k/2 is not 0; and q = 3, 4, whose half grid has 0 and 1 columns
-HALF_GRID_FIELDS = [(3457, 1, (6,)), (3, 8, (8,)), (2, 10, (3,)), (7, 3, (6,)),
-                    (97, 1, (2, 3, 4, 6, 8)), (13, 1, (4,)), (5, 2, (8,)),
-                    (3, 1, (1, 2)), (2, 2, (1, 3))]
+# rho(-1) = k/2 is not 0; q = 3, 4, with no pair a != b; and q = 2, with no
+# a at all
+FULL_GRID_FIELDS = [(3457, 1, (6,)), (2293, 1, (6,)), (3, 8, (8,)), (2, 10, (3,)),
+                    (7, 3, (6,)), (97, 1, (2, 3, 4, 6, 8)), (13, 1, (4,)),
+                    (5, 2, (8,)), (3, 1, (1, 2)), (2, 2, (1, 3)), (2, 1, (1,))]
 
 
-def test_half_grid_histogram_matches_the_full_grid_oracle():
-    for p, r, ks in HALF_GRID_FIELDS:
+def test_residue_histogram_matches_the_full_grid_oracle():
+    for p, r, ks in FULL_GRID_FIELDS:
         ctx = build_field(p, r)
         for k in ks:
             hist = residue_histogram(ctx, k)
             assert hist.dtype == np.int64 and hist.shape == (k ** 5,)
             assert np.array_equal(hist, _full_grid_histogram(ctx, k)), (p, r, k)
+    assert _transform_length(3456) == 3456
+    assert _transform_length(2292) == 4608 == 2 ** 9 * 3 ** 2    # >= 2 * 2292 - 1
     assert build_field(13, 1).log_neg_one % 4 == 2
     assert build_field(5, 2).log_neg_one % 8 == 4
+
+
+def test_transform_length_is_n_or_the_next_smooth_linear_length():
+    for N in range(1, 3000):
+        size = _transform_length(N)
+        if max(factorize(N), default=1) <= RADIX_CAP:
+            assert size == N, N
+            continue
+        assert max(factorize(size)) <= 5 and size >= 2 * N - 1, N
+        assert all(max(factorize(m)) > 5 for m in range(2 * N - 1, size)), N
+
+
+@pytest.mark.parametrize("q", [7213, 7393])
+def test_histogram_values_match_the_direct_pass_at_large_q(q):
+    """f32_indexed reads the spectral histogram; f32_scaled is the direct
+    windowed pass.  q - 1 = 2^2 3 601 is padded, 2^5 3 7 11 is not."""
+    ctx = get_field(q)
+    chi = canonical_char(ctx, 6)
+    rng = random.Random(q)
+    for _ in range(4):
+        t = tuple(rng.randrange(6) for _ in range(5))
+        assert f32_indexed(ctx, 6, t) == f32_scaled(*(chi ** ti for ti in t), lam=1,
+                                                    conductor=6), (q, t)
+
+
+@pytest.mark.parametrize("lags, match", [
+    ({5: 0.5}, "within 1/4"),              # a fraction: the rounding guard
+    ({5: 1.0}, "total mass"),              # one more pair in a row
+    ({0: 1.0, 5: -1.0}, "a = b class"),    # mass kept, moved into m = 0
+    ({4: 1.0, 5: -1.0}, "swap law"),       # mass kept, moved between m-classes
+])
+def test_a_perturbed_transform_raises_and_caches_nothing(monkeypatch, lags, match):
+    ctx = build_field(37, 1)                   # rho(-1) = 2 for k = 4
+    irfft = np.fft.irfft
+    calls = []
+
+    def perturbed(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        if not calls:
+            for lag, delta in lags.items():
+                out[0, lag] += delta
+        calls.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", perturbed)
+    with pytest.raises(InexactTransform, match=match) as err:
+        residue_histogram(ctx, 4)
+    assert isinstance(err.value, GPaleyError) and calls
+    assert ctx._caches == {}
+    monkeypatch.undo()
+    assert np.array_equal(residue_histogram(ctx, 4), _full_grid_histogram(ctx, 4))
 
 
 def test_histogram_swap_symmetry_and_mass():
@@ -149,22 +205,25 @@ def test_histogram_swap_symmetry_and_mass():
             assert int(hist.sum()) == (q - 2) * (q - 3), (q, k)
 
 
-# one reused int64 row buffer of at most BLOCK_ELEMENTS cells, plus O(q)
-# arrays and the k^5 bins
+# f32_scaled: one reused int64 row buffer of at most BLOCK_ELEMENTS cells,
+# plus O(q) arrays; residue_histogram: row blocks of CORRELATION_BLOCK
+# float64 cells, O(k q) transform rows and the k^5 bins
 HIST_PEAK_BUDGET = 8 * BLOCK_ELEMENTS + 2 * 2 ** 20
 
 
 def test_residue_histogram_memory_is_one_block_buffer():
-    ctx = build_field(3457, 1)
-    ctx.log_one_minus                            # field tables, built untraced
-    tracemalloc.start()
-    try:
-        hist = residue_histogram(ctx, 6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert int(hist.sum()) == 3455 * 3454
-    assert peak < HIST_PEAK_BUDGET
+    """Padded (7213) and unpadded (3457, 7393) lengths, k = 6."""
+    for q in (3457, 7213, 7393):
+        ctx = build_field(q, 1)
+        ctx.log_one_minus                        # field tables, built untraced
+        tracemalloc.start()
+        try:
+            hist = residue_histogram(ctx, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(hist.sum()) == (q - 2) * (q - 3)
+        assert peak < HIST_PEAK_BUDGET, q
 
 
 def test_f32_scaled_memory_is_one_block_buffer():

@@ -416,9 +416,10 @@ def test_difference_table_matches_the_log_sub_form():
 
 
 def test_graph_routes_share_no_pass_with_the_hypergeometric_routes(monkeypatch):
-    """The naive oracle and the subgraph count read no part of the O(q^2)
-    character-sum pass behind thm1, thm2 and the k = 3, 4 corollaries: with
-    that pass made to raise, they still count K3 and K4 on fresh fields."""
+    """The naive oracle and the subgraph count read no part of the
+    character-sum passes: neither the spectral correlation behind thm1,
+    thm2 and the k = 3, 4 corollaries nor the direct windowed pass.  With
+    both made to raise, they still count K3 and K4 on fresh fields."""
     def broken(*args):
         raise RuntimeError("shared character-sum pass called")
 
@@ -427,6 +428,7 @@ def test_graph_routes_share_no_pass_with_the_hypergeometric_routes(monkeypatch):
 
     cases = [(2, 13), (2, 25), (3, 16), (3, 31), (4, 41), (5, 41)]
     monkeypatch.setattr(hypergeometric, "_window_bincount", broken)
+    monkeypatch.setattr(hypergeometric, "_class_correlations", broken)
     counts = {(k, q, m, method): clique_count(fresh(q), k, m, method).count
               for k, q in cases for m in (3, 4) for method in ("naive", "subgraph")}
     with pytest.raises(RuntimeError, match="shared character-sum pass"):
