@@ -14,10 +14,14 @@ f32_scaled, at any lambda and any characters, runs the direct O(q^2)
 windowed pass, _window_bincount.  For characters that are powers of one
 order-k character, residue_histogram counts the residue patterns of all
 (a, b) pairs once per (q, k), and every lambda = 1 value is a fold of it.
-It counts them by k^3 cyclic correlations in float64 (numpy's pocketfft,
-O(k^3 q log q)) whose class sums must round within 1/4, match the exact
-total mass and obey the a <-> b swap law before any bin is kept, so no
-count flows from an unchecked float; f32_scaled is its independent oracle.
+It counts them in polyphase Parseval form: the length-(q-1)/k phases of
+the class indicators are rfft'd once each by numpy's pocketfft, and one
+real einsum contracts their spectra into the k^4 (k + 1) class sums with
+no inverse transform: about k^5 S float64 multiply-adds at transform
+length S, which is (q - 1)/k, or about twice that when padded.  The
+class sums must round within 1/4, match the exact total mass and obey
+the a <-> b swap law before any bin is kept, so no count flows from an
+unchecked float; f32_scaled is its independent oracle.
 
 The reduction and transformation checkers compare both sides of the known
 identities after clearing all denominators by powers of q; they return a
@@ -42,8 +46,8 @@ from .finite_field import BLOCK_ELEMENTS, FieldContext, factorize
 from .jacobi import binom_symbol_scaled
 
 HIST_K_CAP = 8   # largest k whose k^5-bin lambda=1 histogram is built
-RADIX_CAP = 150  # a larger prime factor of q - 1 pads the correlation length
-CORRELATION_BLOCK = 1 << 16   # float64 cells per row block of correlations
+RADIX_CAP = 150  # a larger prime factor of q - 1 pads the transform length
+CONTRACTION_BLOCK = 1 << 16   # float64 cells of spectral products per block
 
 
 def _conductor(chars) -> int:
@@ -138,12 +142,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _relabel_index(k: int) -> np.ndarray:
-    """Bin (i, u, j, v, w) reads class sum [(i, u), v, (j - i, w - i)] of the
-    (k^2, k, k^2 + 1) correlation counts."""
+def _relabel_index(k: int, e: int) -> np.ndarray:
+    """Bin (i, u, j, v, w) reads class sum [i, j - i, v - e, w - i, u] of
+    the (k, k, k, k + 1, k) polyphase counts."""
     i, u, j, v, w = _index_vectors(k).T
-    return _frozen(np.ravel_multi_index((i * k + u, v, (j - i) % k * k + (w - i) % k),
-                                        (k * k, k, k * k + 1)))
+    return _frozen(np.ravel_multi_index((i, (j - i) % k, (v - e) % k, (w - i) % k, u),
+                                        (k, k, k, k + 1, k)))
 
 
 @lru_cache(maxsize=None)
@@ -164,53 +168,58 @@ def residue_histogram(ctx: FieldContext, k: int) -> np.ndarray:
     With N = q - 1, e = rho(-1), a = omega^na and b = a omega^m:
     rho(1 - a) = L(na), rho(b - 1) = L(nb) + e, rho(a - b) = rho(a) + L(m).
     So a pair is an a-class (i, u) = (na mod k, L(na) mod k) at na, a
-    b-class v = L(nb) + e mod k at nb = na + m, and an m-class (s, t) =
-    (m mod k, L(m) mod k), and lands in bin (i, u, i + s, v, i + t).  The
-    k^3 cyclic correlations of the class indicators, summed over each
-    m-class (_class_correlations), are the histogram; m = 0 (a = b) is a
-    class of its own and is dropped.
+    b-class (j, v) = (nb mod k, L(nb) + e mod k) at nb = na + m, and an
+    m-class (s, t) = (m mod k, L(m) mod k), with j = i + s mod k, and lands
+    in bin (i, u, i + s, v, i + t).  The b-classes are the a-classes
+    relabelled, (j, v) = (j, x + e) for the a-class (j, x) at nb, so
+    _class_sums counts the (na, m) of each (i, u), (j, x), (s, t) in
+    polyphase Parseval form, O(k q log q + k^4 q) float64 work; m = 0
+    (a = b) is a class t = k of its own and is dropped.
 
-    Beyond the kernel's guards, the m = 0 class must equal a direct count
-    of the n in both classes, and the bins must obey the swap law
-    (i, u, j, v, w) <-> (j, v - e, i, u + e, w + e); a failure raises
-    InexactTransform and caches nothing."""
+    Beyond the kernel's rounding guard, three exact checks must hold: the
+    sums over t of each (i, s, x, u) total |A_iu| |A_jx|, the sizes of the
+    a-classes counted directly; the m = 0 class holds |A_iu| at x = u and
+    0 elsewhere; and the bins obey the swap law (i, u, j, v, w) <->
+    (j, v - e, i, u + e, w + e).  A failure raises InexactTransform and
+    caches nothing."""
     check_order(ctx, k)
     if k > HIST_K_CAP:
         raise SizeLimit(f"k^5 histogram bins need k <= {HIST_K_CAP}, got k={k}")
     key = ("f32hist", k)
     if key in ctx._caches:
         return ctx._caches[key]
-    kk, e = k * k, ctx.log_neg_one % k
+    e = ctx.log_neg_one % k
     one_minus = ctx.log_one_minus % k          # rho(1 - omega^n); n = 0 unread
-    a_cls = np.arange(ctx.q - 1) % k * k + one_minus       # (rho(a), rho(1 - a))
-    b_cls = (one_minus + e) % k                             # rho(b - 1)
-    m_cls = a_cls.copy()                                    # (s, t) at m
-    a_cls[0] = b_cls[0] = -1                                # a, b != 1
-    m_cls[0] = kk                                           # a = b
-    counts = _class_correlations(a_cls, b_cls, m_cls, kk, k, kk + 1)
-    direct = np.bincount(a_cls[1:] * k + b_cls[1:], minlength=kk * k)
-    if not np.array_equal(counts[:, :, kk].ravel(), direct):
+    counts = _class_sums(one_minus, k)
+    size = np.bincount(np.arange(1, ctx.q - 1) % k * k + one_minus[1:],
+                       minlength=k * k).reshape(k, k)           # |A_iu|
+    j = (np.arange(k)[:, None] + np.arange(k)) % k               # i + s
+    if not np.array_equal(np.einsum("isxtu->isxu", counts),
+                          size[j, :, None] * size[:, None, None, :]):
+        raise InexactTransform(f"GF({ctx.q}), k={k}: class sums miss the total mass |A| |B|")
+    if not np.array_equal(counts[:, 0, :, k, :], size[:, None, :] * np.eye(k, dtype=np.int64)):
         raise InexactTransform(f"GF({ctx.q}), k={k}: the a = b class is off")
-    hist = counts.ravel()[_relabel_index(k)]
+    hist = counts.ravel()[_relabel_index(k, e)]
     if not np.array_equal(hist, hist[_swap_index(k, e)]):
         raise InexactTransform(f"GF({ctx.q}), k={k}: bins break the swap law")
     ctx._caches[key] = hist
     return hist
 
 
-def _transform_length(N: int) -> int:
-    """The pocketfft length for a period-N correlation: N itself, unless N
-    has a prime factor above RADIX_CAP; then the smallest 2^a 3^b 5^c >=
-    2N - 1, which holds the linear correlation against a doubled b row.
-    pocketfft runs a prime factor p by a generic O(p)-per-element pass or
-    by Bluestein.  Timed on residue_histogram at k = 6 over the primes
-    q = 1 mod 12 in [5000, 8000) whose q - 1 has its largest prime factor p
-    in [40, 400] (2-core VM), the unpadded length won at every p <= 139
-    but p = 97 (by 1 ms), and the padded one at every p >= 151 (q = 7369,
-    p = 307: 100 vs 63 ms)."""
-    if max(factorize(N), default=1) <= RADIX_CAP:
-        return N
-    want, best, p5 = 2 * N - 1, 4 * N, 1
+def _transform_length(M: int) -> int:
+    """The pocketfft length for period-M rows: M itself, unless M has a
+    prime factor above RADIX_CAP; then the smallest 2^a 3^b 5^c >= 2M - 1,
+    which holds the linear sum against a doubled b row.  pocketfft runs a
+    prime factor p by a generic O(p)-per-element pass or by Bluestein.
+    The cap was timed on the former k^3-correlation kernel at k = 6 over
+    the primes q = 1 mod 12 in [5000, 8000) whose q - 1 has its largest
+    prime factor p in [40, 400] (2-core VM): the unpadded length won at
+    every p <= 139 but p = 97 (by 1 ms), and the padded one at every
+    p >= 151.  As k <= HIST_K_CAP < RADIX_CAP, a prime above the cap
+    divides M = (q - 1)/k exactly when it divides q - 1."""
+    if max(factorize(M), default=1) <= RADIX_CAP:
+        return M
+    want, best, p5 = 2 * M - 1, 4 * M, 1
     while p5 < best:
         p35 = p5
         while p35 < best:
@@ -223,60 +232,90 @@ def _transform_length(N: int) -> int:
     return best
 
 
-def _class_correlations(a_cls: np.ndarray, b_cls: np.ndarray, m_cls: np.ndarray,
-                        n_a: int, n_b: int, n_m: int) -> np.ndarray:
-    """Exact int64 counts [alpha, beta, gamma] of the (n, m) in Z_N^2 with
-    a_cls[n] = alpha, b_cls[n + m mod N] = beta and m_cls[m] = gamma,
-    N = len(a_cls); class -1 marks an n no a (or b) row holds.
+def _class_sums(cls: np.ndarray, k: int) -> np.ndarray:
+    """Exact int64 counts [i, s, x, t, u] of the (n, m) in Z_N^2, N =
+    len(cls) = kM, with n = i and m = s (mod k), n != 0 != n + m,
+    cls[n] = u, cls[n + m] = x, and t = cls[m], or t = k at m = 0.  cls
+    holds classes in [0, k); cls[0] is unread.
 
-    Each a row is an indicator A_alpha, each b row B_beta, and their cyclic
-    correlation X[m] = sum_n A[n] B[n + m] is irfft(conj(rfft A) rfft B) at
-    the _transform_length size; one bincount per row block sums X over the
-    m-classes.  No matrix product is used, so no BLAS thread pool runs.
+    Polyphase form: with n = i + k n' and m = s + k m', n + m mod N is
+    j + k (n' + m' + c mod M), where i + s = j + k c, j < k, and the carry
+    c is 0 or 1.  So with the length-M rows A_iu[n'] = [cls[i + k n'] = u]
+    (n = 0 in none), B_jx = A_jx and M_st = A_st for t < k, and M_0k the
+    point m = 0, the count is the cyclic triple sum over (n', m') of
+    A_iu[n'] M_st[m'] B_jx[n' + m' + c].  By the convolution theorem and
+    Parseval it is (1/S) sum_f w_f Re(FA_iu FM_st conj(FB_jx)) over the
+    bins f of the length-S rfft F (S = _transform_length(M)), w_f = 1 at
+    f = 0 and at S/2 and 2 elsewhere.  When S > M the a and m rows are
+    zero-padded and the b rows doubled to span = 2M - 1 entries, so the
+    length-S cyclic sum is the linear one (span = M when S = M).  The a
+    rows are rfft'd once, and the doubled rows once more when S > M;
+    FM_0k is 1.  A b row shifted one step, for the carry, is the row
+    turned back one step with its entry 0 taken off the end and its entry
+    span mod M put at span - 1, so its transform is read from the
+    unshifted one.  B rows are held as [c, j] = [i + s], so a pair (i, s)
+    reads row i + s.  One real, unoptimized np.einsum per block contracts
+    the Re and Im parts: k^4 (k + 1) class sums of about S multiply-adds
+    each.  Blocks of i and of bins f keep the products FA FM within
+    CONTRACTION_BLOCK float64 cells.  No matrix product is used, so no
+    BLAS thread pool runs.
 
-    Guards, each raising InexactTransform: every class sum rounds to an
-    integer within 1/4, and each (alpha, beta) row of counts sums to
-    |A_alpha| |B_beta|.  A priori, with u = 2^-53 and a transform of size
-    S <= 4N, pocketfft's normwise error is at most about c u log2 S
-    (Higham, Accuracy and Stability, 2nd ed., sec. 24.1; c = 10 is ample),
-    so a correlation of 0/1 rows of weight <= N is off by at most
-    3 c u log2(S) N^1.5 in the 2-norm and its sum over <= N entries by
-    3 c u log2(S) N^2, and the bincount's float64 additions add at most
-    u N^3.  That totals under 0.04 for N < 2^16 and reaches about 1/4 at
-    N = 2^17, where the guard alone decides."""
-    N = len(a_cls)
-    size = _transform_length(N)
-    n = np.arange(N)
-    has_b = b_cls >= 0
-    b = np.zeros((n_b, size))
-    b[b_cls[has_b], n[has_b]] = 1.0
-    if size > N:                               # linear correlation: B doubled
-        b[:, N:2 * N - 1] = b[:, :N - 1]
-    fb = np.fft.rfft(b)
-    order = np.argsort(a_cls, kind="stable")
-    cuts = np.searchsorted(a_cls[order], np.arange(n_a + 1))
-    per = max(1, min(n_a, CORRELATION_BLOCK // (n_b * size)))   # a rows per block
-    idx = (np.arange(per * n_b)[:, None] * n_m + m_cls).ravel()
-    sums = np.empty((n_a, n_b, n_m))
-    for start in range(0, n_a, per):
-        rows = min(per, n_a - start)
-        held = order[cuts[start]:cuts[start + rows]]
-        a = np.zeros((rows, N))
-        a[a_cls[held] - start, held] = 1.0
-        fa = np.conj(np.fft.rfft(a, size))
-        x = np.fft.irfft((fa[:, None, :] * fb).reshape(rows * n_b, -1), size)
-        sums[start:start + rows] = np.bincount(
-            idx[:rows * n_b * N], weights=x[:, :N].ravel(), minlength=rows * n_b * n_m
-        ).reshape(rows, n_b, n_m)
+    Guard: every class sum must round to an integer within 1/4, or
+    InexactTransform is raised (residue_histogram checks the rest).  A
+    priori, with u = 2^-53, an rfft of a 0/1 row of weight <= 2M is off by
+    about c u log2(S) sqrt(S M) in the 2-norm at most (Higham, Accuracy
+    and Stability, 2nd ed., sec. 24.1; c = 10 is ample, and covers the
+    shift's twiddles), and every |FA_f| <= M; by Cauchy-Schwarz the three
+    factors move a class sum by at most about 3 c u log2(S) M^2.  Its
+    terms total at most 4 M^2 in absolute value, so the products and the
+    float64 accumulation of about S + 2 of them add at most about
+    (4S + 12) u M^2.  With S < 4M that is under 0.07 for M <= 2^15 and
+    reaches 1/4 near M = 50000, where the guard alone decides."""
+    N = len(cls)
+    M = N // k
+    size = _transform_length(M)
+    span = M if size == M else 2 * M - 1
+    hits = cls.reshape(M, k).T[:, None, :] == np.arange(k)[:, None]    # [i, u, n']
+    hits[0, :, 0] = False                      # n = 0
+    rows = np.zeros((k, k, size))
+    rows[:, :, :M] = hits
+    fa = np.fft.rfft(rows)                     # [i, u, f]
+    rows[:, :, M:span] = rows[:, :, :span - M]
+    n_f = fa.shape[-1]
+    fb = np.empty((2, k, k, n_f), dtype=complex)             # [c, j, x, f]
+    fb[0] = fa if span == M else np.fft.rfft(rows)
+    twiddle = np.exp(2j * np.pi / size * np.arange(size))
+    turn, back = twiddle[:n_f], twiddle[-np.arange(n_f) * (span - 1) % size]
+    np.subtract(fb[0], rows[:, :, :1], out=fb[1])
+    fb[1] *= turn
+    fb[1] += rows[:, :, span % M, None] * back
+    del rows
+    weight = np.full(n_f, 2.0 / size)
+    weight[0] = 1.0 / size
+    if size % 2 == 0:
+        weight[-1] = 1.0 / size
+    fm = np.zeros((k, k + 1, n_f), dtype=complex)            # [s, t, f], weighted
+    np.multiply(fa, weight, out=fm[:, :k])
+    fm[0, k] = weight
+    b_re_im = fb.reshape(2 * k, k, n_f).view(np.float64)    # Re, Im interleaved
+    ring = (np.arange(k)[:, None] + np.arange(k)).ravel()   # i + s
+    cells = 2 * k * k * (k + 1)                # float64 cells per i and bin
+    f_step = max(1, min(n_f, CONTRACTION_BLOCK // cells))
+    i_step = max(1, min(k, CONTRACTION_BLOCK // (cells * f_step)))
+    sums = np.zeros((k * k, k, (k + 1) * k))   # [(i, s), x, (t, u)]
+    for f0 in range(0, n_f, f_step):
+        f = slice(f0, f0 + f_step)
+        g = slice(2 * f0, 2 * (f0 + f_step))
+        for i0 in range(0, k, i_step):
+            prod = fa[i0:i0 + i_step, None, None, :, f] * fm[None, :, :, None, f]
+            p = slice(i0 * k, (i0 + len(prod)) * k)
+            sums[p] += np.einsum("pxg,pag->pxa", b_re_im[ring[p], :, g],
+                                 prod.view(np.float64).reshape(len(prod) * k, (k + 1) * k, -1))
     counts = np.rint(sums)
-    if not np.abs(sums - counts).max(initial=0.0) < 0.25:
+    sums -= counts
+    if not np.abs(sums, out=sums).max(initial=0.0) < 0.25:
         raise InexactTransform(f"N={N}: a class sum is not within 1/4 of an integer")
-    counts = counts.astype(np.int64)
-    size_a = np.bincount(a_cls[a_cls >= 0], minlength=n_a)
-    size_b = np.bincount(b_cls[has_b], minlength=n_b)
-    if not np.array_equal(counts.sum(axis=2), size_a[:, None] * size_b):
-        raise InexactTransform(f"N={N}: class sums miss the total mass |A| |B|")
-    return counts
+    return counts.astype(np.int64).reshape(k, k, k, k + 1, k)
 
 
 def _coef_vector(k: int, t) -> np.ndarray:

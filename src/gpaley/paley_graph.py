@@ -16,20 +16,23 @@ The K4 routes and the kernels they read:
   thm1       k^5 times residue_histogram's all-zero bin (= 2 #E(H1)), to
              which orthogonality folds Theorem 1's (Z_k)^5 sum; k <= 8.
              It checks the histogram against _edge_count, no more.
-  thm2       R_k and S_k (cyclotomic numbers) and one 3F2 per X_k orbit, read
-             from the histogram for k <= 8.
+  thm2       R_k and S_k (cyclotomic numbers) and the X_k orbit sum of
+             3F2 values: for k <= 8 one int64 product of the histogram
+             with the process-wide orbit-weight table of k
+             (_orbit_weights), above that one direct 3F2 per orbit.
   corollary  k = 2, 3, 4 closed forms from quadratic forms; k = 3, 4 also
              read 3F2 values from the histogram.
 
 The K3 routes: thm (the R_k closed form), subgraph (q #E(H) / 3 by
 _edge_count), corollary (k = 2, 3, 4, quadratic forms) and naive.
 
-thm1, thm2 and the k = 3, 4 K4 corollaries share residue_histogram, k^3
-float64 pocketfft correlations (hypergeometric._class_correlations) that
-raise InexactTransform unless their class sums round within 1/4, match the
-exact mass and obey the a <-> b swap law.  One fault there moves the three
-together; the naive and subgraph routes read neither it nor the direct
-windowed pass (a test makes both raise).
+thm1, thm2 and the k = 3, 4 K4 corollaries share residue_histogram, whose
+class sums come from forward pocketfft transforms contracted by one real
+einsum in float64 (hypergeometric._class_sums); it raises InexactTransform
+unless they round within 1/4, match the exact mass and the a = b count,
+and obey the a <-> b swap law.  One fault there moves the three together;
+the naive and subgraph routes read neither it nor the direct windowed pass
+(a test makes both raise).
 
 ROUTES holds every route by (m, method), and routes_for(k, m, q) the ones
 within their limits; clique_count, verify's cross-method check and the
@@ -43,15 +46,17 @@ instead of rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .cyclotomic import CycInt
 from .errors import NonIntegerResult, SizeLimit
 from .finite_field import (FieldContext, residue_mask, row_blocks,
                            validate_paley_params)
-from .hypergeometric import HIST_K_CAP, f32_full_grid_sum, f32_indexed
+from .hypergeometric import (HIST_K_CAP, _coef_vector, f32_full_grid_sum,
+                             f32_indexed, residue_histogram)
 from .jacobi import (EISENSTEIN, TWO_SQUARES, TWO_TIMES_SQUARE, R_k, S_k,
                      solve_quadform)
 from .orbits import orbit_decompose
@@ -354,14 +359,57 @@ def K4_thm1(ctx: FieldContext, k: int) -> CliqueCountResult:
     return CliqueCountResult(k, q, 4, count, "thm1")
 
 
+@lru_cache(maxsize=None)
+def _orbit_weights(k: int) -> np.ndarray:
+    """W[x, j] = sum of |orbit r| over the X_k orbits r with <x, c(rep_r)>
+    = j (mod k), c = _coef_vector, as a read-only (k^5, k) int64 table
+    whose rows x run over (Z_k)^5 in residue_histogram's bin order.  The
+    orbit sum of q^2 * 3F2(t | 1) is then sum_j (hist @ W)[j] zeta^j.
+
+    Start from g[c] = |orbit r| at c = c(rep_r) (c is a bijection of
+    (Z_k)^5, so no two orbits share a cell), held with an extra axis j at
+    j = 0.  Five exact axis passes follow; pass d turns axis d from c_d
+    into x_d, summing over c_d the table with its j axis turned by
+    x_d c_d.  The axis being turned is held first and j second, so each
+    turn is two contiguous slices: a pass is O(k^7) adds, and the two
+    k^6-cell buffers are reused."""
+    reps, sizes = zip(*orbit_decompose(k).rep_sizes())
+    g = np.zeros(k ** 5, dtype=np.int64)
+    g[np.ravel_multi_index(_coef_vector(k, np.array(reps).T), (k,) * 5)] = sizes
+    table = np.zeros((k, k, k ** 4), dtype=np.int64)       # [c_1, j, c_2..c_5]
+    table[:, 0] = g.reshape(k, k ** 4)
+    turned = np.empty_like(table)                           # [x_d, j, rest]
+    for _ in range(5):
+        turned.fill(0)
+        for x in range(k):
+            for c in range(k):
+                r = x * c % k
+                turned[x, r:] += table[c, :k - r]
+                turned[x, :r] += table[c, k - r:]
+        # the next axis to turn goes first, and x_d last
+        np.copyto(table.reshape(k, k, -1, k),
+                  turned.reshape(k, k, k, -1).transpose(2, 1, 3, 0))
+    weights = turned.reshape(k, k ** 4, k)                  # [x_1, x_2..x_5, j]
+    np.copyto(weights, table.transpose(0, 2, 1))            # table: [x_1, j, x_2..x_5]
+    weights = weights.reshape(k ** 5, k)
+    weights.flags.writeable = False
+    return weights
+
+
 def xk_orbit_sum(ctx: FieldContext, k: int) -> int:
-    """Sum of q^2 * 3F2(t | 1) over X_k, one evaluation per orbit."""
-    dec = orbit_decompose(k)
-    total = None
-    for rep, size in dec.rep_sizes():
-        v = f32_indexed(ctx, k, rep) * size
-        total = v if total is None else total + v
-    return total.as_integer()
+    """Sum of q^2 * 3F2(t | 1) over X_k.  For k <= HIST_K_CAP, one fold of
+    residue_histogram through _orbit_weights(k); above it, one direct
+    evaluation per orbit."""
+    if k > HIST_K_CAP:
+        total = None
+        for rep, size in orbit_decompose(k).rep_sizes():
+            v = f32_indexed(ctx, k, rep) * size
+            total = v if total is None else total + v
+        return total.as_integer()
+    # exact in int64: sum(hist) = (q - 2)(q - 3) < 2^48 for q <= 2^24
+    # (DEFAULT_SIZE_LIMIT), and a weight is at most |X_k| < k^5 <= 2^15
+    counts = residue_histogram(ctx, k) @ _orbit_weights(k)
+    return CycInt.from_zeta_counts(k, counts.tolist()).as_integer()
 
 
 def K4_thm2(ctx: FieldContext, k: int) -> CliqueCountResult:

@@ -115,12 +115,14 @@ def _full_grid_histogram(ctx, k):
     return (low + high).T.ravel()
 
 
-# (p, r, ks): primes with k = 6 whose q - 1 = 2^7 3^3 keeps its length and
-# q - 1 = 2^2 3 191 is padded; GF(3^8); GF(2^10) with N = q - 1 odd;
-# GF(7^3); q = 97 over several k; q = 13, k = 4 and q = 25, k = 8, where
-# rho(-1) = k/2 is not 0; q = 3, 4, with no pair a != b; and q = 2, with no
-# a at all
-FULL_GRID_FIELDS = [(3457, 1, (6,)), (2293, 1, (6,)), (3, 8, (8,)), (2, 10, (3,)),
+# (p, r, ks): primes with k = 6 whose (q - 1)/6 = 2^6 3^2 keeps its length
+# and 2 191 is padded; q = 2417, k = 8, whose (q - 1)/8 = 2 151 is padded
+# to the odd length 625; q = 421, k = 7; GF(3^8); GF(2^10) with N = q - 1
+# odd; GF(7^3); q = 97 over several k; q = 13, k = 4 and q = 25, k = 8,
+# where rho(-1) = k/2 is not 0; q = 3, 4, with no pair a != b; and q = 2,
+# with no a at all
+FULL_GRID_FIELDS = [(3457, 1, (6,)), (2293, 1, (6,)), (2417, 1, (8,)), (421, 1, (7,)),
+                    (3, 8, (8,)), (2, 10, (3,)),
                     (7, 3, (6,)), (97, 1, (2, 3, 4, 6, 8)), (13, 1, (4,)),
                     (5, 2, (8,)), (3, 1, (1, 2)), (2, 2, (1, 3)), (2, 1, (1,))]
 
@@ -132,8 +134,9 @@ def test_residue_histogram_matches_the_full_grid_oracle():
             hist = residue_histogram(ctx, k)
             assert hist.dtype == np.int64 and hist.shape == (k ** 5,)
             assert np.array_equal(hist, _full_grid_histogram(ctx, k)), (p, r, k)
-    assert _transform_length(3456) == 3456
-    assert _transform_length(2292) == 4608 == 2 ** 9 * 3 ** 2    # >= 2 * 2292 - 1
+    assert _transform_length(3456 // 6) == 576
+    assert _transform_length(2292 // 6) == 768 == 2 ** 8 * 3     # >= 2 * 382 - 1
+    assert _transform_length(2416 // 8) == 625 == 5 ** 4         # >= 2 * 302 - 1
     assert build_field(13, 1).log_neg_one % 4 == 2
     assert build_field(5, 2).log_neg_one % 8 == 4
 
@@ -162,31 +165,45 @@ def test_histogram_values_match_the_direct_pass_at_large_q(q):
 
 
 @pytest.mark.parametrize("lags, match", [
-    ({5: 0.5}, "within 1/4"),              # a fraction: the rounding guard
-    ({5: 1.0}, "total mass"),              # one more pair in a row
-    ({0: 1.0, 5: -1.0}, "a = b class"),    # mass kept, moved into m = 0
-    ({4: 1.0, 5: -1.0}, "swap law"),       # mass kept, moved between m-classes
+    ({2: 0.5}, "within 1/4"),              # a fraction: the rounding guard
+    ({2: 1.0}, "total mass"),              # one more pair in a class sum
+    ({4: 1.0, 2: -1.0}, "a = b class"),    # mass kept, moved into t = k (m = 0)
+    ({1: 1.0, 2: -1.0}, "swap law"),       # mass kept, moved between m-classes
 ])
 def test_a_perturbed_transform_raises_and_caches_nothing(monkeypatch, lags, match):
+    """The first einsum call is the float contraction's only block at
+    q = 37, k = 4.  Each key of lags is an m-class t, and the einsum's
+    class sum [(i, s), x, (t, u)] = [0, 0, 4t] is moved by its value."""
     ctx = build_field(37, 1)                   # rho(-1) = 2 for k = 4
-    irfft = np.fft.irfft
+    einsum = np.einsum
     calls = []
 
     def perturbed(*args, **kwargs):
-        out = irfft(*args, **kwargs)
+        out = einsum(*args, **kwargs)
         if not calls:
-            for lag, delta in lags.items():
-                out[0, lag] += delta
+            for t, delta in lags.items():
+                out[0, 0, 4 * t] += delta
         calls.append(out.shape)
         return out
 
-    monkeypatch.setattr(np.fft, "irfft", perturbed)
+    monkeypatch.setattr(np, "einsum", perturbed)
     with pytest.raises(InexactTransform, match=match) as err:
         residue_histogram(ctx, 4)
-    assert isinstance(err.value, GPaleyError) and calls
+    assert isinstance(err.value, GPaleyError) and calls[0] == (16, 4, 20)
     assert ctx._caches == {}
     monkeypatch.undo()
     assert np.array_equal(residue_histogram(ctx, 4), _full_grid_histogram(ctx, 4))
+
+
+def test_residue_histogram_runs_no_inverse_transform(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("inverse transform called")
+
+    monkeypatch.setattr(np.fft, "irfft", refused)
+    monkeypatch.setattr(np.fft, "ifft", refused)
+    for p, r, k in ((3457, 1, 6), (2293, 1, 6), (97, 1, 8)):
+        ctx = build_field(p, r)
+        assert np.array_equal(residue_histogram(ctx, k), _full_grid_histogram(ctx, k))
 
 
 def test_histogram_swap_symmetry_and_mass():
@@ -206,24 +223,25 @@ def test_histogram_swap_symmetry_and_mass():
 
 
 # f32_scaled: one reused int64 row buffer of at most BLOCK_ELEMENTS cells,
-# plus O(q) arrays; residue_histogram: row blocks of CORRELATION_BLOCK
-# float64 cells, O(k q) transform rows and the k^5 bins
+# plus O(q) arrays; residue_histogram: O(q) spectra, contraction blocks of
+# CONTRACTION_BLOCK float64 cells and the k^5 bins
 HIST_PEAK_BUDGET = 8 * BLOCK_ELEMENTS + 2 * 2 ** 20
 
 
 def test_residue_histogram_memory_is_one_block_buffer():
-    """Padded (7213) and unpadded (3457, 7393) lengths, k = 6."""
-    for q in (3457, 7213, 7393):
-        ctx = build_field(q, 1)
+    """Padded (7213) and unpadded (3457, 7393) lengths at k = 6, and
+    GF(3^10) at k = 2, whose (q - 1)/2 rows are the longest here."""
+    for p, r, k in ((3457, 1, 6), (7213, 1, 6), (7393, 1, 6), (3, 10, 2)):
+        ctx = build_field(p, r)
         ctx.log_one_minus                        # field tables, built untraced
         tracemalloc.start()
         try:
-            hist = residue_histogram(ctx, 6)
+            hist = residue_histogram(ctx, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert int(hist.sum()) == (q - 2) * (q - 3)
-        assert peak < HIST_PEAK_BUDGET, q
+        assert int(hist.sum()) == (ctx.q - 2) * (ctx.q - 3)
+        assert peak < HIST_PEAK_BUDGET, ctx.q
 
 
 def test_f32_scaled_memory_is_one_block_buffer():

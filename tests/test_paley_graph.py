@@ -8,17 +8,22 @@ import numpy as np
 import pytest
 
 from gpaley import hypergeometric, paley_graph, verify
+from gpaley.characters import canonical_char
+from gpaley.cyclotomic import CycInt
 from gpaley.errors import InvalidCongruence, NonIntegerResult, SizeLimit
-from gpaley.finite_field import build_field, split_prime_power
+from gpaley.finite_field import DEFAULT_SIZE_LIMIT, build_field, split_prime_power
+from gpaley.hypergeometric import HIST_K_CAP, f32_scaled
 from gpaley.jacobi import EISENSTEIN, solve_quadform
+from gpaley.orbits import orbit_decompose, xk_closed_form
 from gpaley.paley_graph import (CliqueCountResult, K3_closed, K3_corollary,
                                 K4_corollary, K4_subgraph_method, K4_thm1,
                                 K4_thm2, _difference_table, _edge_count,
-                                _exact_div, adjacency_rows,
+                                _exact_div, _orbit_weights, adjacency_rows,
                                 brute_force_K, build_graph, clique_count,
                                 count_cliques, h1_edge_count, h1_vertices,
                                 h_edge_count, pack_words, routes_for,
-                                row_popcounts, subgraph_masks, unpack_words)
+                                row_popcounts, subgraph_masks, unpack_words,
+                                xk_orbit_sum)
 from gpaley.ramsey_search import admissible_q
 from gpaley.verify import (check_clique_recursions, check_strong_regularity,
                            check_subgraph_props)
@@ -221,6 +226,60 @@ def test_k4_thm2_matches_thm1_at_k5():
     assert brute_force_K(build_graph(ctx, 5), 4).count == thm1
 
 
+# (k, q): admissible fields for k = 2..6, and the smallest for k = 7, 8
+ORBIT_SUM_FIELDS = [(2, (13, 17, 29)), (3, (13, 19, 31)), (4, (17, 41)),
+                    (5, (11, 31)), (6, (13, 37)), (7, (29,)), (8, (17,))]
+
+
+def test_xk_orbit_sum_matches_the_direct_pass_per_orbit():
+    """xk_orbit_sum folds the residue histogram through one weight table
+    per k; the reference sums the direct windowed pass (f32_scaled) at each
+    orbit representative times the orbit's size, and shares neither."""
+    for k, qs in ORBIT_SUM_FIELDS:
+        for q in qs:
+            ctx = build_field(*split_prime_power(q))
+            chi = canonical_char(ctx, k)
+            want = sum((f32_scaled(*(chi ** ti for ti in rep), lam=1, conductor=k) * size
+                        for rep, size in orbit_decompose(k).rep_sizes()), CycInt.zero(k))
+            assert xk_orbit_sum(ctx, k) == want.as_integer(), (k, q)
+
+
+def test_orbit_weight_rows_sum_to_the_size_of_xk():
+    for k in range(2, HIST_K_CAP + 1):
+        weights = _orbit_weights(k)
+        assert weights.shape == (k ** 5, k) and weights.dtype == np.int64
+        assert np.all(weights.sum(axis=1) == xk_closed_form(k)), k
+
+
+def test_orbit_sum_products_stay_inside_int64():
+    """hist @ W is exact in int64: the bins total (q - 2)(q - 3) < 2^48 for
+    every q up to DEFAULT_SIZE_LIMIT, and no weight exceeds |X_k| < k^5 <=
+    2^15 for k <= HIST_K_CAP."""
+    q = DEFAULT_SIZE_LIMIT
+    assert (q - 2) * (q - 3) < 2 ** 48
+    for k in range(2, HIST_K_CAP + 1):
+        assert int(_orbit_weights(k).max()) <= xk_closed_form(k) < k ** 5 <= 2 ** 15
+    assert (q - 2) * (q - 3) * xk_closed_form(HIST_K_CAP) < 2 ** 63
+
+
+def test_k4_thm2_reads_one_weight_table_and_no_indexed_3f2(monkeypatch):
+    calls = []
+    original = paley_graph.f32_indexed
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(paley_graph, "f32_indexed", counting)
+    _orbit_weights.cache_clear()
+    fields = [build_field(q, 1) for q in (37, 61, 73)]
+    counts = [K4_thm2(ctx, 6).count for ctx in fields]
+    assert calls == []
+    info = _orbit_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert counts == [K4_subgraph_method(build_graph(ctx, 6)).count for ctx in fields]
+
+
 def test_k4_corollary_values():
     ctx17 = get_field(17)
     assert K4_corollary(ctx17, 2).count == 0
@@ -417,7 +476,7 @@ def test_difference_table_matches_the_log_sub_form():
 
 def test_graph_routes_share_no_pass_with_the_hypergeometric_routes(monkeypatch):
     """The naive oracle and the subgraph count read no part of the
-    character-sum passes: neither the spectral correlation behind thm1,
+    character-sum passes: neither the polyphase class sums behind thm1,
     thm2 and the k = 3, 4 corollaries nor the direct windowed pass.  With
     both made to raise, they still count K3 and K4 on fresh fields."""
     def broken(*args):
@@ -428,7 +487,7 @@ def test_graph_routes_share_no_pass_with_the_hypergeometric_routes(monkeypatch):
 
     cases = [(2, 13), (2, 25), (3, 16), (3, 31), (4, 41), (5, 41)]
     monkeypatch.setattr(hypergeometric, "_window_bincount", broken)
-    monkeypatch.setattr(hypergeometric, "_class_correlations", broken)
+    monkeypatch.setattr(hypergeometric, "_class_sums", broken)
     counts = {(k, q, m, method): clique_count(fresh(q), k, m, method).count
               for k, q in cases for m in (3, 4) for method in ("naive", "subgraph")}
     with pytest.raises(RuntimeError, match="shared character-sum pass"):
