@@ -17,11 +17,11 @@ order-k character, residue_histogram counts the residue patterns of all
 It counts them in polyphase Parseval form: the length-(q-1)/k phases of
 the class indicators are rfft'd once each by numpy's pocketfft, and one
 real einsum contracts their spectra into the k^4 (k + 1) class sums with
-no inverse transform: about k^5 S float64 multiply-adds at transform
-length S, which is (q - 1)/k, or about twice that when padded.  The
-class sums must round within 1/4, match the exact total mass and obey
-the a <-> b swap law before any bin is kept, so no count flows from an
-unchecked float; f32_scaled is its independent oracle.
+no inverse transform: about k^5 M float64 multiply-adds at transform
+length M = (q - 1)/k.  The class sums must round within 1/4, match the
+exact total mass and obey the a <-> b swap law before any bin is kept, so
+no count flows from an unchecked float; f32_scaled is its independent
+oracle.
 
 The reduction and transformation checkers compare both sides of the known
 identities after clearing all denominators by powers of q; they return a
@@ -42,11 +42,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .characters import MultChar, canonical_char, check_order, same_ctx
 from .cyclotomic import CycInt
 from .errors import InexactTransform, ShapeMismatch, SizeLimit
-from .finite_field import BLOCK_ELEMENTS, FieldContext, factorize
+from .finite_field import BLOCK_ELEMENTS, FieldContext
 from .jacobi import binom_symbol_scaled
 
 HIST_K_CAP = 8   # largest k whose k^5-bin lambda=1 histogram is built
-RADIX_CAP = 150  # a larger prime factor of q - 1 pads the transform length
 CONTRACTION_BLOCK = 1 << 16   # float64 cells of spectral products per block
 
 
@@ -206,32 +205,6 @@ def residue_histogram(ctx: FieldContext, k: int) -> np.ndarray:
     return hist
 
 
-def _transform_length(M: int) -> int:
-    """The pocketfft length for period-M rows: M itself, unless M has a
-    prime factor above RADIX_CAP; then the smallest 2^a 3^b 5^c >= 2M - 1,
-    which holds the linear sum against a doubled b row.  pocketfft runs a
-    prime factor p by a generic O(p)-per-element pass or by Bluestein.
-    The cap was timed on the former k^3-correlation kernel at k = 6 over
-    the primes q = 1 mod 12 in [5000, 8000) whose q - 1 has its largest
-    prime factor p in [40, 400] (2-core VM): the unpadded length won at
-    every p <= 139 but p = 97 (by 1 ms), and the padded one at every
-    p >= 151.  As k <= HIST_K_CAP < RADIX_CAP, a prime above the cap
-    divides M = (q - 1)/k exactly when it divides q - 1."""
-    if max(factorize(M), default=1) <= RADIX_CAP:
-        return M
-    want, best, p5 = 2 * M - 1, 4 * M, 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            size = p35
-            while size < want:
-                size *= 2
-            best = min(best, size)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _class_sums(cls: np.ndarray, k: int) -> np.ndarray:
     """Exact int64 counts [i, s, x, t, u] of the (n, m) in Z_N^2, N =
     len(cls) = kM, with n = i and m = s (mod k), n != 0 != n + m,
@@ -244,56 +217,43 @@ def _class_sums(cls: np.ndarray, k: int) -> np.ndarray:
     (n = 0 in none), B_jx = A_jx and M_st = A_st for t < k, and M_0k the
     point m = 0, the count is the cyclic triple sum over (n', m') of
     A_iu[n'] M_st[m'] B_jx[n' + m' + c].  By the convolution theorem and
-    Parseval it is (1/S) sum_f w_f Re(FA_iu FM_st conj(FB_jx)) over the
-    bins f of the length-S rfft F (S = _transform_length(M)), w_f = 1 at
-    f = 0 and at S/2 and 2 elsewhere.  When S > M the a and m rows are
-    zero-padded and the b rows doubled to span = 2M - 1 entries, so the
-    length-S cyclic sum is the linear one (span = M when S = M).  The a
-    rows are rfft'd once, and the doubled rows once more when S > M;
-    FM_0k is 1.  A b row shifted one step, for the carry, is the row
-    turned back one step with its entry 0 taken off the end and its entry
-    span mod M put at span - 1, so its transform is read from the
-    unshifted one.  B rows are held as [c, j] = [i + s], so a pair (i, s)
-    reads row i + s.  One real, unoptimized np.einsum per block contracts
-    the Re and Im parts: k^4 (k + 1) class sums of about S multiply-adds
-    each.  Blocks of i and of bins f keep the products FA FM within
-    CONTRACTION_BLOCK float64 cells.  No matrix product is used, so no
-    BLAS thread pool runs.
+    Parseval it is (1/M) sum_f w_f Re(FA_iu FM_st conj(FB_jx)) over the
+    bins f of the length-M rfft F, w_f = 1 at f = 0 and at M/2 and 2
+    elsewhere.  The a rows are rfft'd once; FB_jx is FA_jx and FM_0k is
+    1.  A b row shifted one step, for the carry, is a cyclic shift at
+    length M, so by the shift theorem its transform is FB_jx turned by
+    exp(2 pi i f/M).  B rows are held as [c, j] = [i + s], so a pair
+    (i, s) reads row i + s.  One real, unoptimized np.einsum per block
+    contracts the Re and Im parts: k^4 (k + 1) class sums of about M
+    multiply-adds each.  Blocks of i and of bins f keep the products FA FM
+    within CONTRACTION_BLOCK float64 cells.  No matrix product is used, so
+    no BLAS thread pool runs.
 
     Guard: every class sum must round to an integer within 1/4, or
     InexactTransform is raised (residue_histogram checks the rest).  A
-    priori, with u = 2^-53, an rfft of a 0/1 row of weight <= 2M is off by
-    about c u log2(S) sqrt(S M) in the 2-norm at most (Higham, Accuracy
-    and Stability, 2nd ed., sec. 24.1; c = 10 is ample, and covers the
+    priori, with u = 2^-53, an rfft of a 0/1 row of weight <= M is off by
+    about c u log2(M) M in the 2-norm at most (Higham, Accuracy and
+    Stability, 2nd ed., sec. 24.1; c = 10 is ample, and covers the
     shift's twiddles), and every |FA_f| <= M; by Cauchy-Schwarz the three
-    factors move a class sum by at most about 3 c u log2(S) M^2.  Its
+    factors move a class sum by at most about 3 c u log2(M) M^2.  Its
     terms total at most 4 M^2 in absolute value, so the products and the
-    float64 accumulation of about S + 2 of them add at most about
-    (4S + 12) u M^2.  With S < 4M that is under 0.07 for M <= 2^15 and
-    reaches 1/4 near M = 50000, where the guard alone decides."""
+    float64 accumulation of about M + 2 of them add at most about
+    (4M + 12) u M^2, or about 4 u M^3.  That is under 0.02 for
+    M <= 2^15 and reaches 1/4 near M = 82500, where the guard alone
+    decides."""
     N = len(cls)
     M = N // k
-    size = _transform_length(M)
-    span = M if size == M else 2 * M - 1
     hits = cls.reshape(M, k).T[:, None, :] == np.arange(k)[:, None]    # [i, u, n']
     hits[0, :, 0] = False                      # n = 0
-    rows = np.zeros((k, k, size))
-    rows[:, :, :M] = hits
-    fa = np.fft.rfft(rows)                     # [i, u, f]
-    rows[:, :, M:span] = rows[:, :, :span - M]
+    fa = np.fft.rfft(hits.astype(np.float64, order="C"))    # [i, u, f]
     n_f = fa.shape[-1]
     fb = np.empty((2, k, k, n_f), dtype=complex)             # [c, j, x, f]
-    fb[0] = fa if span == M else np.fft.rfft(rows)
-    twiddle = np.exp(2j * np.pi / size * np.arange(size))
-    turn, back = twiddle[:n_f], twiddle[-np.arange(n_f) * (span - 1) % size]
-    np.subtract(fb[0], rows[:, :, :1], out=fb[1])
-    fb[1] *= turn
-    fb[1] += rows[:, :, span % M, None] * back
-    del rows
-    weight = np.full(n_f, 2.0 / size)
-    weight[0] = 1.0 / size
-    if size % 2 == 0:
-        weight[-1] = 1.0 / size
+    fb[0] = fa
+    np.multiply(fa, np.exp(2j * np.pi / M * np.arange(n_f)), out=fb[1])
+    weight = np.full(n_f, 2.0 / M)
+    weight[0] = 1.0 / M
+    if M % 2 == 0:
+        weight[-1] = 1.0 / M
     fm = np.zeros((k, k + 1, n_f), dtype=complex)            # [s, t, f], weighted
     np.multiply(fa, weight, out=fm[:, :k])
     fm[0, k] = weight

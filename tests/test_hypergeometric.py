@@ -11,12 +11,11 @@ from gpaley.characters import MultChar, canonical_char, trivial_char
 from gpaley.cyclotomic import CycInt
 from gpaley.errors import (GPaleyError, InexactTransform, OrderNotDividing,
                            ShapeMismatch)
-from gpaley.finite_field import BLOCK_ELEMENTS, build_field, factorize, row_blocks
-from gpaley.hypergeometric import (RADIX_CAP, _transform_length, check_reduction,
-                                   check_transformation, f21_definitional_numeric,
-                                   f21_scaled, f32_definitional_numeric,
-                                   f32_full_grid_sum, f32_indexed, f32_scaled,
-                                   residue_histogram)
+from gpaley.finite_field import BLOCK_ELEMENTS, build_field, row_blocks
+from gpaley.hypergeometric import (check_reduction, check_transformation,
+                                   f21_definitional_numeric, f21_scaled,
+                                   f32_definitional_numeric, f32_full_grid_sum,
+                                   f32_indexed, f32_scaled, residue_histogram)
 from gpaley.jacobi import solve_quadform
 from gpaley.verify import (check_exact_vs_numeric, check_orbit_invariance,
                            check_reductions, check_transformations)
@@ -115,14 +114,14 @@ def _full_grid_histogram(ctx, k):
     return (low + high).T.ravel()
 
 
-# (p, r, ks): primes with k = 6 whose (q - 1)/6 = 2^6 3^2 keeps its length
-# and 2 191 is padded; q = 2417, k = 8, whose (q - 1)/8 = 2 151 is padded
-# to the odd length 625; q = 421, k = 7; GF(3^8); GF(2^10) with N = q - 1
-# odd; GF(7^3); q = 97 over several k; q = 13, k = 4 and q = 25, k = 8,
-# where rho(-1) = k/2 is not 0; q = 3, 4, with no pair a != b; and q = 2,
-# with no a at all
-FULL_GRID_FIELDS = [(3457, 1, (6,)), (2293, 1, (6,)), (2417, 1, (8,)), (421, 1, (7,)),
-                    (3, 8, (8,)), (2, 10, (3,)),
+# (p, r, ks): primes with k = 6 whose transform length (q - 1)/6 is the
+# smooth 2^6 3^2 or 2 191, with a large prime factor; q = 2417, k = 8,
+# length 2 151; q = 479, k = 2, the odd prime length 239; q = 421, k = 7;
+# GF(3^8); GF(2^10) with N = q - 1 odd; GF(7^3); q = 97 over several k;
+# q = 13, k = 4 and q = 25, k = 8, where rho(-1) = k/2 is not 0; q = 3, 4,
+# with no pair a != b; and q = 2, with no a at all
+FULL_GRID_FIELDS = [(3457, 1, (6,)), (2293, 1, (6,)), (2417, 1, (8,)), (479, 1, (2,)),
+                    (421, 1, (7,)), (3, 8, (8,)), (2, 10, (3,)),
                     (7, 3, (6,)), (97, 1, (2, 3, 4, 6, 8)), (13, 1, (4,)),
                     (5, 2, (8,)), (3, 1, (1, 2)), (2, 2, (1, 3)), (2, 1, (1,))]
 
@@ -134,27 +133,15 @@ def test_residue_histogram_matches_the_full_grid_oracle():
             hist = residue_histogram(ctx, k)
             assert hist.dtype == np.int64 and hist.shape == (k ** 5,)
             assert np.array_equal(hist, _full_grid_histogram(ctx, k)), (p, r, k)
-    assert _transform_length(3456 // 6) == 576
-    assert _transform_length(2292 // 6) == 768 == 2 ** 8 * 3     # >= 2 * 382 - 1
-    assert _transform_length(2416 // 8) == 625 == 5 ** 4         # >= 2 * 302 - 1
     assert build_field(13, 1).log_neg_one % 4 == 2
     assert build_field(5, 2).log_neg_one % 8 == 4
-
-
-def test_transform_length_is_n_or_the_next_smooth_linear_length():
-    for N in range(1, 3000):
-        size = _transform_length(N)
-        if max(factorize(N), default=1) <= RADIX_CAP:
-            assert size == N, N
-            continue
-        assert max(factorize(size)) <= 5 and size >= 2 * N - 1, N
-        assert all(max(factorize(m)) > 5 for m in range(2 * N - 1, size)), N
 
 
 @pytest.mark.parametrize("q", [7213, 7393])
 def test_histogram_values_match_the_direct_pass_at_large_q(q):
     """f32_indexed reads the spectral histogram; f32_scaled is the direct
-    windowed pass.  q - 1 = 2^2 3 601 is padded, 2^5 3 7 11 is not."""
+    windowed pass.  The transform lengths (q - 1)/6 are 2 601, with a large
+    prime factor, and 2^4 7 11, with small ones."""
     ctx = get_field(q)
     chi = canonical_char(ctx, 6)
     rng = random.Random(q)
@@ -223,14 +210,15 @@ def test_histogram_swap_symmetry_and_mass():
 
 
 # f32_scaled: one reused int64 row buffer of at most BLOCK_ELEMENTS cells,
-# plus O(q) arrays; residue_histogram: O(q) spectra, contraction blocks of
-# CONTRACTION_BLOCK float64 cells and the k^5 bins
+# plus O(q) arrays; residue_histogram: O(q) spectra at length (q - 1)/k,
+# contraction blocks of CONTRACTION_BLOCK float64 cells and the k^5 bins
 HIST_PEAK_BUDGET = 8 * BLOCK_ELEMENTS + 2 * 2 ** 20
 
 
 def test_residue_histogram_memory_is_one_block_buffer():
-    """Padded (7213) and unpadded (3457, 7393) lengths at k = 6, and
-    GF(3^10) at k = 2, whose (q - 1)/2 rows are the longest here."""
+    """Lengths with a large prime factor (7213) and with small ones
+    (3457, 7393) at k = 6, and GF(3^10) at k = 2, whose (q - 1)/2 rows are
+    the longest here."""
     for p, r, k in ((3457, 1, 6), (7213, 1, 6), (7393, 1, 6), (3, 10, 2)):
         ctx = build_field(p, r)
         ctx.log_one_minus                        # field tables, built untraced
