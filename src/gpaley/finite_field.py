@@ -9,11 +9,16 @@ after that all arithmetic is table lookups in three int64 arrays:
   np_log[a]         ind(a), the discrete log of a nonzero a
   log_one_minus[n]  L(n) = ind(1 - omega^n), or -1 at n = 0
 
-build_field makes np_exp only: for a prime field by doubling
-(omega^(B+j) = omega^B omega^j mod p), for an extension field by blocked
-digit-vector products.  np_log and log_one_minus are derived from it the
-first time something reads them, so the K4 subgraph count of a zero scan,
-which reads np_exp and the residue mask only, never builds them.
+build_field makes np_exp only, by doubling: omega^(L+j) = omega^L omega^j.
+In a prime field that is one scalar multiply mod p per doubling.  An
+extension field rests on one helper, _mul_matrix(c), the r x r matrix of
+multiplication by c mod the modulus, in exact int64 arithmetic.  Its
+powers fill the exp table (one einsum on r digit planes per doubling), its
+row 0 decides whether a candidate generator g has g^((q-1)/l) = 1, and the
+Ben-Or irreducibility test of the modulus reads x^p from it.  np_log and
+log_one_minus are derived from np_exp the first time something reads
+them, so the K4 subgraph count of a zero scan, which reads np_exp and the
+residue mask only, never builds them.
 
 L is the field's one difference table, and it is read-only.  With
 e = ind(-1), 1 - omega^n = omega^(n+e) + 1, and adding 1 changes only the
@@ -35,7 +40,6 @@ import numpy as np
 from .errors import CompositeP, InvalidCongruence, SizeLimit, ZeroInput
 
 DEFAULT_SIZE_LIMIT = 1 << 24
-EXP_BLOCK = 1 << 12          # digit vectors held at once while building np_exp
 BLOCK_ELEMENTS = 1 << 20     # cells per row block of a vectorized pairwise pass
 
 
@@ -76,15 +80,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_rem(prod, mod, p)
-
-
 def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
     a = a[:]
     deg_m = len(mod) - 1
@@ -97,17 +92,6 @@ def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
     return _poly_trim(a)
 
 
-def _poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = _poly_rem(base[:], mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, acc, mod, p)
-        acc = _poly_mul_mod(acc, acc, mod, p)
-        e >>= 1
-    return result
-
-
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _poly_trim(a[:]), _poly_trim(b[:])
     while b:
@@ -117,32 +101,49 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _mul_matrix(c: list[int], mod: list[int], p: int) -> np.ndarray:
+    """The r x r int64 matrix of multiplication by c mod ``mod`` (degree r):
+    row i holds the digits of x^i c, made by shift-and-reduce.  A digit row
+    vector v times it is the digits of v c, and _mul_matrix(a) @
+    _mul_matrix(b) is _mul_matrix(a b) mod p."""
+    r = len(mod) - 1
+    row = list(c) + [0] * (r - len(c))
+    rows = []
+    for _ in range(r):
+        rows.append(row)
+        top, row = row[-1], [0] + row[:-1]
+        if top:                               # x^r = -(mod[0] + ... + mod[r-1] x^(r-1))
+            row = [(a - top * m) % p for a, m in zip(row, mod)]
+    return np.array(rows, dtype=np.int64)
+
+
+def _power_row(squares: list[np.ndarray], e: int, p: int) -> np.ndarray:
+    """Row 0 of M^e mod p by square-and-multiply, where squares[j] is
+    M^(2^j) and M = squares[0]: the digits of c^e when M is _mul_matrix(c).
+    The list grows in place, so later exponents reuse the squarings.
+    Entries stay below p, so every product sum is at most r (p - 1)^2."""
+    row = np.zeros(len(squares[0]), dtype=np.int64)
+    row[0] = 1
+    for j in range(e.bit_length()):
+        if j == len(squares):
+            squares.append(squares[-1] @ squares[-1] % p)
+        if e >> j & 1:
+            row = row @ squares[j] % p
+    return row
+
+
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: x^(p^r) = x mod f and gcd(x^(p^(r/l)) - x, f) = 1."""
+    """Ben-Or test: a monic f of degree r is irreducible iff gcd(f,
+    x^(p^i) - x) = 1 for every i <= r/2, since x^(p^i) - x is the product
+    of the monic irreducibles of degree dividing i.  Each x^(p^i) mod f is
+    the p-th power of the one before, and the loop stops at the first i
+    that finds a factor."""
     r = len(f) - 1
-    if r == 1:
-        return True
-    x = [0, 1]
-    t = x
-    powers = {}
-    for j in range(1, r + 1):
-        t = _poly_powmod(t, p, f, p)
-        powers[j] = t
-    top = powers[r][:]
-    # x^(p^r) - x must vanish mod f
-    while len(top) < 2:
-        top.append(0)
-    top[1] = (top[1] - 1) % p
-    if _poly_trim(top):
-        return False
-    for ell in factorize(r):
-        g = powers[r // ell][:]
-        while len(g) < 2:
-            g.append(0)
+    h = [0, 1]
+    for _ in range(r // 2):
+        h = _power_row([_mul_matrix(h, f, p)], p, p).tolist()   # x^(p^i)
+        g = h[:]
         g[1] = (g[1] - 1) % p
-        g = _poly_trim(g)
-        if not g:
-            return False
         if len(_poly_gcd(f, g, p)) > 1:
             return False
     return True
@@ -151,7 +152,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 def _smallest_irreducible(p: int, r: int) -> list[int]:
     """First monic degree-r irreducible when the lower coefficients are read
     as a base-p integer (so x^4+x+1 for p=2, r=4).  For r > 1 a root at 0
-    or 1 is a linear factor, so those candidates skip the Rabin test."""
+    or 1 is a linear factor, so those candidates skip the Ben-Or test."""
     for m in range(p ** r):
         f = _coeffs(m, p, r) + [1]
         if r > 1 and (f[0] == 0 or sum(f) % p == 0):
@@ -285,36 +286,38 @@ def _coeffs(a: int, p: int, r: int) -> list[int]:
     return out
 
 
-def _raw_mul(a: int, b: int, ctx_p: int, ctx_r: int, modulus: list[int]) -> int:
-    """Table-free multiplication used while bootstrapping the tables."""
-    if ctx_r == 1:
-        return (a * b) % ctx_p
-    prod = _poly_mul_mod(_coeffs(a, ctx_p, ctx_r), _coeffs(b, ctx_p, ctx_r),
-                         modulus, ctx_p)
-    return sum(c * ctx_p ** i for i, c in enumerate(prod))
-
-
 def _element_order_is_maximal(g: int, p: int, r: int, q: int,
                               modulus: list[int], qm1_primes: list[int]) -> bool:
     if r == 1:
         return all(pow(g, (q - 1) // ell, p) != 1 for ell in qm1_primes)
-    base = _coeffs(g, p, r)
-    return all(_poly_powmod(base, (q - 1) // ell, modulus, p) != [1]
-               for ell in qm1_primes)
+    squares = [_mul_matrix(_coeffs(g, p, r), modulus, p)]
+    for ell in qm1_primes:
+        power = _power_row(squares, (q - 1) // ell, p)      # g^((q-1)/ell)
+        if power[0] == 1 and not power[1:].any():
+            return False
+    return True
 
 
 def _exp_table(p: int, r: int, modulus: list[int], omega: int) -> np.ndarray:
     """omega^j for j in [0, q-1) as packed indices.
 
-    In a prime field the packed index is the element itself, and the table
-    doubles in place: exp[L:2L] = exp[:L] * omega^L mod p.  The products
-    stay below p^2, which is under 2^48 within the default size limit.
+    The table doubles: once the first L powers are made, the next L are
+    those times omega^L.  In a prime field the packed index is the element
+    itself, so exp[L:2L] = exp[:L] * omega^L mod p, products below p^2,
+    which is under 2^48 within the default size limit.
 
-    In an extension field multiplication by omega^B is an F_p-linear map on
-    digit vectors.  Its matrix is squared while the first block of powers
-    doubles to B rows; after that each block of B digit vectors times the
-    matrix is the next block, and every block is packed as soon as it is
-    made."""
+    In an extension field the powers are held as digit planes of shape
+    (r, q-1), and multiplication by omega^L is the matrix M = _mul_matrix(
+    omega^L): each doubling is planes[:, L:2L] = M^T planes[:, :L] mod p,
+    one einsum and one %=, after which M is squared.  The planes and M use
+    the narrowest unsigned dtype that holds r (p-1)^2, the largest sum an
+    einsum cell can reach, so no sum wraps.  That is uint8 for every p = 2
+    field to r = 24 and for 3^10, 7^5; uint16 or uint32 for larger p.  The
+    planes are packed to element indices once, at the end, by Horner in the
+    narrowest dtype that holds q - 1, then copied to int64.  Transient
+    memory: the planes, r (q-1) itemsize bytes (2.5 times np_exp for
+    GF(2^20)), plus the packed copy; the planes are freed before the int64
+    copy is made."""
     n = p ** r - 1
     if r == 1:
         exp = np.empty(n, dtype=np.int64)
@@ -327,29 +330,38 @@ def _exp_table(p: int, r: int, modulus: list[int], omega: int) -> np.ndarray:
             chunk %= p
             filled += m
         return exp
-    step = np.array([_coeffs(_raw_mul(p ** i, omega, p, r, modulus), p, r)
-                     for i in range(r)], dtype=np.int64)     # row i: x^i * omega
-    place = p ** np.arange(r, dtype=np.int64)
-    block = np.zeros((1, r), dtype=np.int64)
-    block[0, 0] = 1
-    while len(block) < min(EXP_BLOCK, n):
-        block = np.vstack([block, block @ step % p])
+    dtype = np.min_scalar_type(r * (p - 1) ** 2)
+    step = _mul_matrix(_coeffs(omega, p, r), modulus, p).astype(dtype)
+    planes = np.zeros((r, n), dtype=dtype)
+    planes[0, 0] = 1
+    filled = 1
+    while filled < n:
+        m = min(filled, n - filled)
+        chunk = planes[:, filled:filled + m]
+        np.einsum("ji,jn->in", step, planes[:, :m], out=chunk)
+        chunk %= p
         step = step @ step % p
-    packed = [block @ place]
-    while len(packed) * len(block) < n:
-        block = block @ step % p
-        packed.append(block @ place)
-    return np.concatenate(packed)[:n]
+        filled += m
+    exp = planes[r - 1].astype(np.min_scalar_type(n))    # Horner over the digits
+    for i in range(r - 2, -1, -1):
+        exp *= p
+        exp += planes[i]
+    del planes, chunk            # free the planes (chunk views them) before the int64 copy
+    return exp.astype(np.int64)
 
 
 def build_field(p: int, r: int, *, size_limit: int = DEFAULT_SIZE_LIMIT,
                 alt_generator: bool = False) -> FieldContext:
     """Construct GF(p^r) deterministically.
 
-    The modulus is the first monic irreducible found in base-p order and the
-    primitive element is the generator with the smallest element index, so
-    repeated builds are identical.  ``alt_generator`` selects the next
-    generator instead, which downstream determinism tests rely on.
+    The modulus is the first monic irreducible found in base-p order (Ben-Or
+    test) and the primitive element is the generator with the smallest
+    element index: candidates are tried in ascending order, each by
+    g^((q-1)/l) != 1 for every prime l dividing q - 1, so repeated builds
+    are identical.  ``alt_generator`` selects the next generator instead,
+    which downstream determinism tests rely on.  The transient memory is
+    _exp_table's: for an extension field its digit planes plus the packed
+    table, 3 times np_exp's bytes for GF(2^20), whose 20 planes are uint8.
     """
     if r < 1:
         raise ValueError("exponent r must be positive")
@@ -437,12 +449,19 @@ def split_prime_power(q: int) -> tuple[int, int]:
 
 
 def prime_powers(q_max: int) -> list[int]:
-    """The prime powers 2 <= q <= q_max, ascending."""
-    out = []
-    for p in range(2, q_max + 1):
-        if is_prime(p):
-            q = p
-            while q <= q_max:
-                out.append(q)
-                q *= p
-    return sorted(out)
+    """The prime powers 2 <= q <= q_max, ascending, from a sieve of
+    Eratosthenes: the primes, then p^2, p^3, ... for each p <= sqrt(q_max)."""
+    if q_max < 2:
+        return []
+    prime = np.ones(q_max + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, isqrt(q_max) + 1):
+        if prime[p]:
+            prime[p * p::p] = False
+    power = prime.copy()
+    for p in np.flatnonzero(prime[:isqrt(q_max) + 1]).tolist():
+        q = p * p
+        while q <= q_max:
+            power[q] = True
+            q *= p
+    return np.flatnonzero(power).tolist()

@@ -1,17 +1,19 @@
 """Field construction, table integrity, and k-th power residue queries."""
 
+import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gpaley import finite_field
 from gpaley.errors import CompositeP, InvalidCongruence, SizeLimit, ZeroInput
-from gpaley.finite_field import (EXP_BLOCK, _raw_mul, build_field, factorize,
-                                 is_kth_power, is_prime, kth_power_residues,
-                                 paley_congruence, split_prime_power,
-                                 validate_paley_params)
-from helpers import digit_add, get_field, paley_pairs
+from gpaley.finite_field import (build_field, factorize, is_kth_power,
+                                 is_prime, kth_power_residues,
+                                 paley_congruence, prime_powers,
+                                 split_prime_power, validate_paley_params)
+from helpers import digit_add, get_field, paley_pairs, raw_mul
 
 
 def brute_force_order(q, mul, g):
@@ -208,7 +210,7 @@ def test_alternate_generator_differs_but_consistent():
 
 def least_generators(p, r):
     """The two least generators of GF(p^r)*, every candidate from 1 up
-    tested by square-and-multiply through the table-free _raw_mul."""
+    tested by square-and-multiply through the table-free raw_mul."""
     q = p ** r
     modulus = list(build_field(p, r).modulus)
     found = []
@@ -218,8 +220,8 @@ def least_generators(p, r):
             acc, base, e = 1, g, (q - 1) // ell
             while e:
                 if e & 1:
-                    acc = _raw_mul(acc, base, p, r, modulus)
-                base = _raw_mul(base, base, p, r, modulus)
+                    acc = raw_mul(acc, base, p, r, modulus)
+                base = raw_mul(base, base, p, r, modulus)
                 e >>= 1
             maximal = maximal and acc != 1
         if maximal:
@@ -329,15 +331,15 @@ def test_zech_arithmetic_matches_digit_addition(q, alt):
             assert (0 if d < 0 else ctx.exp_table[d]) == digit_add(ctx, a, b, -1)
 
 
-@pytest.mark.parametrize("p, r", [(2, 14), (3, 8), (7, 5)])
-def test_blocked_exp_table_matches_sequential_recurrence(p, r):
+@pytest.mark.parametrize("p, r", [(2, 14), (3, 8), (7, 5), (257, 2)])
+def test_doubled_exp_table_matches_sequential_recurrence(p, r):
     ctx = build_field(p, r)
-    assert ctx.q - 1 > EXP_BLOCK            # several blocks are exercised
+    assert ctx.q - 1 > 1 << 12              # more than twelve doublings
     modulus = list(ctx.modulus)
     x = 1
     for j in range(ctx.q - 1):
         assert ctx.exp_table[j] == x
-        x = _raw_mul(x, ctx.primitive_index, p, r, modulus)
+        x = raw_mul(x, ctx.primitive_index, p, r, modulus)
     assert x == 1
 
 
@@ -347,3 +349,109 @@ def test_zech_table_definition():
         for n in range(q - 1):
             total = digit_add(ctx, 1, ctx.exp_table[n], -1)
             assert ctx.one_minus_table[n] == (-1 if total == 0 else ctx.log_table[total])
+
+
+def _build_digest(p, r, alt):
+    """sha256 of (p, r, alt, modulus, primitive_index) and the np_exp bytes
+    of one build, or of (p, r, alt, None) when it has no second generator."""
+    h = hashlib.sha256()
+    try:
+        ctx = build_field(p, r, alt_generator=alt)
+    except ValueError:
+        h.update(repr((p, r, alt, None)).encode())
+        return h.hexdigest()
+    h.update(repr((p, r, alt, ctx.modulus, ctx.primitive_index)).encode())
+    h.update(ctx.np_exp.tobytes())
+    return h.hexdigest()
+
+
+# digests of the construction that built extension tables by blocked int64
+# matmuls, tested generators by polynomial powmod and moduli by Rabin's test
+SMALL_FIELDS_DIGEST = (711, "490acdfbf3ebaa2fe32943af82f6e7eb"
+                            "58178dc4b701a59174c42911e24d167f")
+LARGE_FIELD_DIGESTS = {
+    (2, 16): ("c598b89d1293d17856131c2827caa2ca5a100bfed550081e58b812a8edb79073",
+              "d5ec70534a928f60dec3c29a86e00c2548376ed523bf115b7581e81cfb8a84f1"),
+    (2, 14): ("29eec7504084f649bab23537b89c7572a333b1423b76ba1b241895234cd76419",
+              "50b805fd70123b7636159ba16571a0dcc7b117d58b8107f42d6503c0fce2170f"),
+    (3, 8): ("c3a063dad0eb68971222f14b81c29561b66a3da61975df2d946327f341268a00",
+             "0b509a14968be2b7401d7e3fabaa09b3a4591cdf4a3770364ac536743cf66ef8"),
+    (7, 5): ("de97f4fb26894b35b14691476f0031607ddf96f9bd2ac87e5593c69208ba4ae9",
+             "5e87825dda21e24972f41eae2e22aabe3d0f53223fc998285718db03515cff7e"),
+    (3, 10): ("00fba81f5f5567e01c3f936b500e48d6f774ea9b145d1e45b86997c7448e7874",
+              "ca1c6746e4e4d3b0af2925d1a6a8e88a6468f8a06a1ceb2a25d7c460300d8036"),
+    (2, 20): ("71e439caed49418926274bfc39d4b862b0a608c046cdad78534e4d1bb3f109d4",
+              "661b3fa5a9a1f53570a13529acd84f48f8e6b4e43a57fe0ce5480161329bc9c5"),
+}
+
+
+def test_every_build_to_5000_is_byte_identical_to_the_recorded_digest():
+    fields = sorted((p ** r, p, r) for p in range(2, 5001) if is_prime(p)
+                    for r in range(1, 13) if p ** r <= 5000)
+    h = hashlib.sha256()
+    for _, p, r in fields:
+        for alt in (False, True):
+            h.update(_build_digest(p, r, alt).encode())
+    assert (len(fields), h.hexdigest()) == SMALL_FIELDS_DIGEST
+
+
+@pytest.mark.parametrize("p, r", sorted(LARGE_FIELD_DIGESTS))
+def test_large_field_builds_are_byte_identical_to_the_recorded_digests(p, r):
+    assert (_build_digest(p, r, False),
+            _build_digest(p, r, True)) == LARGE_FIELD_DIGESTS[p, r]
+
+
+def test_is_irreducible_agrees_with_sympy_on_every_small_monic():
+    """Reducible and irreducible alike: _smallest_irreducible returns at the
+    first irreducible, so only this test reaches every reject branch."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    seen = [0, 0]
+    for p, degrees in ((2, range(2, 9)), (3, range(2, 6)), (5, range(2, 4))):
+        for r in degrees:
+            for m in range(p ** r):
+                f = [m // p ** i % p for i in range(r)] + [1]
+                irreducible = gf_irreducible_p(f[::-1], p, ZZ)
+                assert finite_field._is_irreducible(f, p) == irreducible, (p, f)
+                seen[irreducible] += 1
+    assert seen[0] > 0 and seen[1] > 0 and sum(seen) == 508 + 360 + 150
+
+
+@pytest.mark.parametrize("q_max", list(range(21)) + [20000])
+def test_prime_powers_match_sympy_primes(q_max):
+    from sympy import primerange
+
+    expected = sorted(p ** e for p in primerange(2, q_max + 1)
+                      for e in range(1, q_max.bit_length() + 1)
+                      if p ** e <= q_max)
+    assert prime_powers(q_max) == expected
+
+
+@pytest.mark.parametrize("p, r", [(2, 16), (3, 10), (2, 20)])
+def test_build_field_peak_memory_is_within_four_exp_tables(p, r):
+    build_field(p, r)
+    tracemalloc.start()
+    try:
+        ctx = build_field(p, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * ctx.np_exp.nbytes + (1 << 20), (p, r, peak)
+
+
+@pytest.mark.parametrize("p, r, dtype", [(2, 16, np.uint8), (7, 5, np.uint8),
+                                         (17, 2, np.uint16), (257, 2, np.uint32)])
+def test_digit_planes_use_the_narrowest_dtype_that_holds_r_p_minus_1_squared(
+        p, r, dtype, monkeypatch):
+    real, seen = np.einsum, set()
+
+    def spy(*args, **kwargs):
+        seen.update(a.dtype for a in args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(finite_field.np, "einsum", spy)
+    ctx = build_field(p, r)
+    assert seen == {np.dtype(dtype)}, (p, r)
+    assert ctx.np_exp.dtype == np.int64
+    assert np.array_equal(np.sort(ctx.np_exp), np.arange(1, ctx.q))
