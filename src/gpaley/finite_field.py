@@ -3,22 +3,25 @@
 Elements are plain ints in [0, q): the base-p digit vector of the polynomial
 representative packed into a single index (0 is the zero element, 1 is the
 multiplicative identity).  Digits are used only while the tables are built;
-after that all arithmetic is table lookups in three int64 arrays:
+after that all arithmetic is table lookups in int64 arrays:
 
-  np_exp[n]         omega^n, for n in [0, q-1)
+  powers(k)[t]      omega^(kt), for t in [0, (q-1)/k): S_k in exponent order
+  np_exp[n]         omega^n, for n in [0, q-1): powers(1)
   np_log[a]         ind(a), the discrete log of a nonzero a
   log_one_minus[n]  L(n) = ind(1 - omega^n), or -1 at n = 0
 
-build_field makes np_exp only, by doubling: omega^(L+j) = omega^L omega^j.
-In a prime field that is one scalar multiply mod p per doubling.  An
-extension field rests on one helper, _mul_matrix(c), the r x r matrix of
+build_field finds the modulus and omega and builds no table.  Every table
+is made the first time something reads it.  powers(k) comes from one
+builder, _exp_table, by doubling: g^(L+j) = g^L g^j with g = omega^k.  In a
+prime field that is one scalar multiply mod p per doubling.  An extension
+field rests on one helper, _mul_matrix(c), the r x r matrix of
 multiplication by c mod the modulus, in exact int64 arithmetic.  Its
-powers fill the exp table (one einsum on r digit planes per doubling), its
-row 0 decides whether a candidate generator g has g^((q-1)/l) = 1, and the
+powers fill the table (one einsum on r digit planes per doubling), its row
+0 decides whether a candidate generator g has g^((q-1)/l) = 1, and the
 Ben-Or irreducibility test of the modulus reads x^p from it.  np_log and
-log_one_minus are derived from np_exp the first time something reads
-them, so the K4 subgraph count of a zero scan, which reads np_exp and the
-residue mask only, never builds them.
+log_one_minus are derived from np_exp, so the K3 and K4 subgraph counts
+of a zero scan, which read powers(k) and the residue mask only, build none
+of them.
 
 L is the field's one difference table, and it is read-only.  With
 e = ind(-1), 1 - omega^n = omega^(n+e) + 1, and adding 1 changes only the
@@ -36,11 +39,13 @@ from functools import cached_property
 from math import isqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CompositeP, InvalidCongruence, SizeLimit, ZeroInput
 
 DEFAULT_SIZE_LIMIT = 1 << 24
 BLOCK_ELEMENTS = 1 << 20     # cells per row block of a vectorized pairwise pass
+REDUCE_BLOCK = 1 << 16       # digit-plane cells per block of _exp_table's reduction
 
 
 def is_prime(n: int) -> bool:
@@ -168,18 +173,42 @@ def _smallest_irreducible(p: int, r: int) -> list[int]:
 
 @dataclass(eq=False)
 class FieldContext:
-    """Fully materialized GF(p^r).  Immutable after construction."""
+    """GF(p^r): the modulus and omega, and every table made on first use.
+    Immutable after construction."""
 
     p: int
     r: int
     q: int
     modulus: tuple[int, ...]          # length r+1, monic, low degree first
     primitive_index: int
-    np_exp: np.ndarray = field(repr=False)      # omega^n
     log_neg_one: int = field(repr=False)        # ind(-1): (q-1)/2, or 0 when p = 2
-    _caches: dict = field(default_factory=dict, repr=False)
+    _caches: dict = field(default_factory=dict, repr=False)     # counts and masks
+    _powers: dict = field(default_factory=dict, repr=False)     # k -> powers(k)
 
-    # -- the tables derived from np_exp, on first use -----------------------
+    # -- the tables, on first use ------------------------------------------
+
+    def powers(self, k: int) -> np.ndarray:
+        """omega^(kt) for t in [0, (q-1)/k) as a read-only int64 array,
+        cached per k: _exp_table with generator omega^k.  When -1 is in
+        the table, at t = ind(-1)/k, it is checked to be there."""
+        if k not in self._powers:
+            n, rem = divmod(self.q - 1, k)
+            if rem:
+                raise ValueError(f"k={k} does not divide q-1={self.q - 1}")
+            p, modulus = self.p, list(self.modulus)
+            g = _power(self.primitive_index, k, p, self.r, modulus)
+            table = _exp_table(p, self.r, modulus, g, n)
+            e = self.log_neg_one
+            if e % k == 0 and table[e // k] != p - 1:
+                raise AssertionError(f"GF({self.q}): omega^{e} is not -1")
+            table.flags.writeable = False
+            self._powers[k] = table
+        return self._powers[k]
+
+    @cached_property
+    def np_exp(self) -> np.ndarray:
+        """omega^n, n in [0, q-1)."""
+        return self.powers(1)
 
     @cached_property
     def np_log(self) -> np.ndarray:
@@ -277,6 +306,15 @@ def row_blocks(n_rows: int, n_cols: int):
         yield slice(start, min(start + step, n_rows))
 
 
+def windows(a: np.ndarray, width: int) -> np.ndarray:
+    """Read-only (len(a) - width + 1, width) view of a contiguous 1-D array,
+    row i being a[i:i + width]: sliding_window_view's result, made directly
+    by as_strided without its argument checks."""
+    step = a.strides[0]
+    return as_strided(a, (len(a) - width + 1, width), (step, step),
+                      writeable=False)
+
+
 def _coeffs(a: int, p: int, r: int) -> list[int]:
     """The r base-p digits of a packed index, low degree first."""
     out = []
@@ -298,27 +336,39 @@ def _element_order_is_maximal(g: int, p: int, r: int, q: int,
     return True
 
 
-def _exp_table(p: int, r: int, modulus: list[int], omega: int) -> np.ndarray:
-    """omega^j for j in [0, q-1) as packed indices.
+def _power(g: int, e: int, p: int, r: int, modulus: list[int]) -> int:
+    """g^e as a packed index, with no table: pow in a prime field, row 0
+    of _mul_matrix(g)^e in an extension field."""
+    if r == 1:
+        return pow(g, e, p)
+    digits = _power_row([_mul_matrix(_coeffs(g, p, r), modulus, p)], e, p)
+    return sum(int(d) * p ** i for i, d in enumerate(digits))
+
+
+def _exp_table(p: int, r: int, modulus: list[int], g: int, n: int) -> np.ndarray:
+    """g^j for j in [0, n) as packed indices.
 
     The table doubles: once the first L powers are made, the next L are
-    those times omega^L.  In a prime field the packed index is the element
-    itself, so exp[L:2L] = exp[:L] * omega^L mod p, products below p^2,
-    which is under 2^48 within the default size limit.
+    those times g^L.  In a prime field the packed index is the element
+    itself, so exp[L:2L] = exp[:L] * g^L mod p, products below p^2, which
+    is under 2^48 within the default size limit.
 
     In an extension field the powers are held as digit planes of shape
-    (r, q-1), and multiplication by omega^L is the matrix M = _mul_matrix(
-    omega^L): each doubling is planes[:, L:2L] = M^T planes[:, :L] mod p,
-    one einsum and one %=, after which M is squared.  The planes and M use
-    the narrowest unsigned dtype that holds r (p-1)^2, the largest sum an
-    einsum cell can reach, so no sum wraps.  That is uint8 for every p = 2
-    field to r = 24 and for 3^10, 7^5; uint16 or uint32 for larger p.  The
-    planes are packed to element indices once, at the end, by Horner in the
-    narrowest dtype that holds q - 1, then copied to int64.  Transient
-    memory: the planes, r (q-1) itemsize bytes (2.5 times np_exp for
-    GF(2^20)), plus the packed copy; the planes are freed before the int64
+    (r, n), and multiplication by g^L is the matrix M = _mul_matrix(g^L):
+    each doubling is planes[:, L:2L] = M^T planes[:, :L] mod p, one einsum,
+    after which M is squared.  The einsum's cells are reduced mod p as
+    x - x // p * p in column blocks of REDUCE_BLOCK cells, since numpy's
+    floor divide by a scalar is far faster than its remainder on small
+    unsigned ints, and a block keeps the quotient's temporary small and in
+    cache.  The planes and M use the narrowest unsigned dtype that holds
+    r (p-1)^2, the largest sum an einsum cell can reach, so no sum wraps.
+    That is uint8 for every p = 2 field to r = 24 and for 3^10, 7^5;
+    uint16 or uint32 for larger p.  The planes are packed to element
+    indices once, at the end, by Horner in the narrowest dtype that holds
+    q - 1, then copied to int64.  Transient memory: the planes, r n
+    itemsize bytes (2.5 times the table for GF(2^20) at n = q - 1), plus
+    the packed copy and one block; the planes are freed before the int64
     copy is made."""
-    n = p ** r - 1
     if r == 1:
         exp = np.empty(n, dtype=np.int64)
         exp[0] = 1
@@ -326,27 +376,30 @@ def _exp_table(p: int, r: int, modulus: list[int], omega: int) -> np.ndarray:
         while filled < n:
             m = min(filled, n - filled)
             chunk = exp[filled:filled + m]
-            np.multiply(exp[:m], pow(omega, filled, p), out=chunk)
+            np.multiply(exp[:m], pow(g, filled, p), out=chunk)
             chunk %= p
             filled += m
         return exp
     dtype = np.min_scalar_type(r * (p - 1) ** 2)
-    step = _mul_matrix(_coeffs(omega, p, r), modulus, p).astype(dtype)
+    step = _mul_matrix(_coeffs(g, p, r), modulus, p).astype(dtype)
     planes = np.zeros((r, n), dtype=dtype)
     planes[0, 0] = 1
+    width = max(1, REDUCE_BLOCK // r)
     filled = 1
     while filled < n:
         m = min(filled, n - filled)
         chunk = planes[:, filled:filled + m]
         np.einsum("ji,jn->in", step, planes[:, :m], out=chunk)
-        chunk %= p
+        for start in range(0, m, width):
+            part = chunk[:, start:start + width]
+            part -= part // p * p
         step = step @ step % p
         filled += m
-    exp = planes[r - 1].astype(np.min_scalar_type(n))    # Horner over the digits
+    exp = planes[r - 1].astype(np.min_scalar_type(p ** r - 1))   # Horner over the digits
     for i in range(r - 2, -1, -1):
         exp *= p
         exp += planes[i]
-    del planes, chunk            # free the planes (chunk views them) before the int64 copy
+    planes = chunk = part = None    # free the planes (chunk and part view them) first
     return exp.astype(np.int64)
 
 
@@ -359,9 +412,9 @@ def build_field(p: int, r: int, *, size_limit: int = DEFAULT_SIZE_LIMIT,
     element index: candidates are tried in ascending order, each by
     g^((q-1)/l) != 1 for every prime l dividing q - 1, so repeated builds
     are identical.  ``alt_generator`` selects the next generator instead,
-    which downstream determinism tests rely on.  The transient memory is
-    _exp_table's: for an extension field its digit planes plus the packed
-    table, 3 times np_exp's bytes for GF(2^20), whose 20 planes are uint8.
+    which downstream determinism tests rely on.  omega^ind(-1) = -1 is
+    checked by _power.  No table is built here: FieldContext.powers makes
+    each one on first use.
     """
     if r < 1:
         raise ValueError("exponent r must be positive")
@@ -385,17 +438,15 @@ def build_field(p: int, r: int, *, size_limit: int = DEFAULT_SIZE_LIMIT,
         raise ValueError(f"GF({q}) has no second generator")
     omega = generators[-1]
 
-    exp = _exp_table(p, r, modulus, omega)
     # -1 is the element of order 2, omega^((q-1)/2); for p = 2 it is 1
     log_neg_one = 0 if p == 2 else (q - 1) // 2
-    if exp[log_neg_one] != p - 1:
+    if _power(omega, log_neg_one, p, r, modulus) != p - 1:
         raise AssertionError(f"GF({q}): omega^{log_neg_one} is not -1")
 
     return FieldContext(
         p=p, r=r, q=q,
         modulus=tuple(modulus),
         primitive_index=omega,
-        np_exp=exp,
         log_neg_one=log_neg_one,
     )
 
@@ -425,10 +476,8 @@ def is_kth_power(ctx: FieldContext, a: int, k: int) -> bool:
 
 def residue_mask(ctx: FieldContext, k: int) -> np.ndarray:
     """Boolean lookup by element index of S_k, the nonzero k-th powers."""
-    if (ctx.q - 1) % k != 0:
-        raise ValueError(f"k={k} does not divide q-1={ctx.q - 1}")
     mask = np.zeros(ctx.q, dtype=bool)
-    mask[ctx.np_exp[0::k]] = True
+    mask[ctx.powers(k)] = True
     return mask
 
 

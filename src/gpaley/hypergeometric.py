@@ -37,12 +37,11 @@ from functools import lru_cache
 from math import lcm
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .characters import MultChar, canonical_char, check_order, same_ctx
 from .cyclotomic import CycInt
 from .errors import InexactTransform, ShapeMismatch, SizeLimit
-from .finite_field import BLOCK_ELEMENTS, FieldContext
+from .finite_field import BLOCK_ELEMENTS, FieldContext, windows
 from .jacobi import binom_symbol_scaled
 
 HIST_K_CAP = 8   # largest k whose k^5-bin lambda=1 histogram is built
@@ -111,14 +110,14 @@ def _window_bincount(row: np.ndarray, col: np.ndarray, lead: np.ndarray,
     by offset, so a cell costs two adds and a bincount; rows fill one reused
     int64 buffer of at most BLOCK_ELEMENTS cells."""
     n, width = len(col), len(lead)
-    windows = sliding_window_view(col[(np.arange(2 * n) + offset) % n], width)
+    rotated = windows(col[(np.arange(2 * n) + offset) % n], width)
     rows = max(1, min(len(row), BLOCK_ELEMENTS // max(1, width)))
     buf = np.empty((rows, width), dtype=np.int64)
     counts = np.zeros(n_bins, dtype=np.int64)
     for start in range(0, len(row), rows):
         cells = buf[:min(rows, len(row) - start)]
         np.add(row[start:start + len(cells), None],
-               windows[start:start + len(cells)], out=cells)
+               rotated[start:start + len(cells)], out=cells)
         cells += lead
         counts += np.bincount(cells.ravel(), minlength=n_bins)
     return counts

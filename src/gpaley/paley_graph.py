@@ -9,10 +9,13 @@ The K4 routes and the kernels they read:
              for q <= ORACLE_CAP[m].
   subgraph   K4 = q(q-1)/(12k) * #E(H1), edges by _edge_count, a cyclic
              correlation of packed uint64 bit rows: a phase table of about
-             16 |S| bytes plus row blocks of at most BLOCK_ELEMENTS bytes,
-             about 0.03 s for GF(3^10), k = 2.  It reads np_exp and the
-             residue mask only, no log or difference table.  The production
-             path for the Ramsey searches.
+             16 |S| bytes plus row blocks of at most BLOCK_ELEMENTS bytes.
+             It reads one degree row per orbit of H1 under the stabiliser
+             of {0, 1} (1/x, 1 - x and Frobenius, _h1_orbits): 257 rows
+             instead of 14761 for GF(3^10), k = 2.  It reads powers(k),
+             the k-th powers in exponent order, and the residue mask only:
+             no exp, log or difference table.  The production path for the
+             Ramsey searches.
   thm1       k^5 times residue_histogram's all-zero bin (= 2 #E(H1)), to
              which orthogonality folds Theorem 1's (Z_k)^5 sum; k <= 8.
              It checks the histogram against _edge_count, no more.
@@ -23,8 +26,10 @@ The K4 routes and the kernels they read:
   corollary  k = 2, 3, 4 closed forms from quadratic forms; k = 3, 4 also
              read 3F2 values from the histogram.
 
-The K3 routes: thm (the R_k closed form), subgraph (q #E(H) / 3 by
-_edge_count), corollary (k = 2, 3, 4, quadratic forms) and naive.
+The K3 routes: subgraph (q #E(H) / 3, where H is vertex-transitive, so
+#E(H) = |S| |H1| / 2 is one row: q(q-1)|H1| / (6k); the production path),
+thm (the R_k closed form), corollary (k = 2, 3, 4, quadratic forms) and
+naive.  clique_count's 'auto' is subgraph for both orders.
 
 thm1, thm2 and the k = 3, 4 K4 corollaries share residue_histogram, whose
 class sums come from forward pocketfft transforms contracted by one real
@@ -49,12 +54,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cyclotomic import CycInt
 from .errors import NonIntegerResult, SizeLimit
 from .finite_field import (FieldContext, residue_mask, row_blocks,
-                           validate_paley_params)
+                           validate_paley_params, windows)
 from .hypergeometric import (HIST_K_CAP, _coef_vector, f32_full_grid_sum,
                              f32_indexed, residue_histogram)
 from .jacobi import (EISENSTEIN, TWO_SQUARES, TWO_TIMES_SQUARE, R_k, S_k,
@@ -226,24 +230,31 @@ def brute_force_K(g: PaleyGraph, m: int, cap: int | None = None) -> CliqueCountR
 # the subgraphs H (on S_k) and H1 (neighbors of 1 inside H)
 # ---------------------------------------------------------------------------
 
+def _minus_one(g: PaleyGraph) -> np.ndarray:
+    """omega^(kt) - 1 for t in [0, |S|), from powers(k) alone: plain x - 1
+    in a prime field; in an extension field subtracting 1 changes only the
+    constant digit of a packed index."""
+    x = g.ctx.powers(g.k)
+    if g.ctx.r == 1:
+        return x - 1
+    p = g.ctx.p
+    return np.where(x % p == 0, x + (p - 1), x - 1)
+
+
 def _difference_table(g: PaleyGraph) -> np.ndarray:
     """T[t] = (omega^(kt) - 1 in S) for t in [0, |S|).
 
     For a = omega^(ki) and b = omega^(kj) in S, a - b = -a (omega^(k(j-i)) - 1)
     with a and -1 in S, so a ~ b exactly when T[(j - i) mod |S|].  As
     |j - i| < |S|, numpy's negative indexing reads T[j - i] as exactly
-    that.  T is symmetric (T[t] = T[-t]) and T[0] is False.
-
-    It reads np_exp and the residue mask only: subtracting 1 changes only
-    the constant digit of a packed index."""
-    x = g.ctx.np_exp[::g.k]                     # omega^(kt)
-    p = g.ctx.p
-    return g.in_S[np.where(x % p == 0, x + (p - 1), x - 1)]
+    that.  T is symmetric (T[t] = T[-t]) and T[0] is False.  It reads
+    powers(k) and the residue mask only."""
+    return g.in_S[_minus_one(g)]
 
 
 def h1_vertices(g: PaleyGraph) -> list[int]:
     """H1 = {a in S : a - 1 in S}; a = omega^(kt) is in it exactly when T[t]."""
-    return np.sort(g.ctx.np_exp[g.k * np.flatnonzero(_difference_table(g))]).tolist()
+    return np.sort(g.ctx.powers(g.k)[np.flatnonzero(_difference_table(g))]).tolist()
 
 
 def subgraph_masks(g: PaleyGraph, verts: list[int]) -> np.ndarray:
@@ -257,15 +268,18 @@ def subgraph_masks(g: PaleyGraph, verts: list[int]) -> np.ndarray:
     return rows
 
 
-def _edge_count(table: np.ndarray, t: np.ndarray) -> int:
+def _edge_count(table: np.ndarray, t: np.ndarray, rows: np.ndarray,
+                weights: np.ndarray) -> int:
     """Edges among the vertices with distinct exponents t: pairs i < j with
-    T[t_j - t_i].
+    T[t_j - t_i], as half the degree sum.  Only the degrees of the vertices
+    rows (exponents among t) are read, rows[i] standing for weights[i]
+    vertices of its degree; rows = t with unit weights is the plain sum.
 
-    Vertex i has degree #{x in V : T[x - t_i]}, a cyclic correlation of the
-    vertex indicator V with T: the popcount of V AND (T rotated by t_i).
-    V and the doubled table T||T are packed into uint64 words once (bit x
-    in word x // 64 at place x % 64), and row i is the window of T||T that
-    starts at bit n - t_i.  Word w of the window starting at bit 64 b + s
+    Vertex x has degree #{y in V : T[y - x]}, a cyclic correlation of the
+    vertex indicator V with T: the popcount of V AND (T rotated by x).
+    V and the doubled table T||T are packed into uint64 words once (bit y
+    in word y // 64 at place y % 64), and row x is the window of T||T that
+    starts at bit n - x.  Word w of the window starting at bit 64 b + s
     is (D[b+w] >> s) | (D[b+w+1] << (64 - s)); that shift is made once for
     each of the 64 phases s, so each row is one gather of contiguous words.
 
@@ -287,24 +301,70 @@ def _edge_count(table: np.ndarray, t: np.ndarray) -> int:
     high = d_words[1:] << np.uint64(1)
     for blk in row_blocks(64, 16 * n_words):
         phases[blk] |= high << (np.uint64(63) - s[blk])
-    windows = sliding_window_view(phases.ravel(), n_words)
+    starts = windows(phases.ravel(), n_words)
     degrees = 0
-    for blk in row_blocks(len(t), 8 * n_words):
-        start = n - t[blk]
-        row = windows[(start & 63) * (2 * n_words) + (start >> 6)]
+    for blk in row_blocks(len(rows), 8 * n_words):
+        start = n - rows[blk]
+        row = starts[(start & 63) * (2 * n_words) + (start >> 6)]
         row &= v_words
-        degrees += int(_bitwise_count(row).sum())
-    return _exact_div(degrees, 2, "H/H1 degree sum")
+        degrees += int(row_popcounts(row) @ weights[blk])
+    return _exact_div(degrees, 2, "H1 degree sum")
+
+
+def _h1_orbits(g: PaleyGraph, minus_one: np.ndarray, table: np.ndarray):
+    """(reps, sizes): the orbits of H1's exponents t (T[t]) under the maps
+    below, each by its least member and its size.  Each map sends H1 onto
+    itself and keeps adjacency inside it, so degrees in H1 are constant
+    on an orbit: 1 - x is an automorphism of G that swaps 0 and 1, x^p
+    one that fixes both, and 1/x one of H that fixes 1 (1/a - 1/b =
+    (b - a)/(ab) with ab in S).  For x = omega^(kt):
+
+      1/x      t -> -t
+      1 - x    t -> tau(t) = pos(x - 1) + ind_S(-1), pos(y) the place of y
+               in powers(k) and ind_S(-1) = ind(-1)/k: |S|/2 for odd q, 0
+               for p = 2, as 1 - x = (-1)(x - 1)
+      x^p      t -> p t, for r > 1 (Frobenius)
+
+    1/x and 1 - x generate the six maps x, 1/x, 1 - x, 1/(1 - x),
+    (x - 1)/x, x/(x - 1), read here as t, -t, tau(t), -tau(t), tau(-t),
+    -tau(-t); their least value at each Frobenius image p^i t is the
+    orbit minimum.  tau is checked to map H1 into H1, one gather, before
+    any label is read."""
+    n = len(table)
+    h1 = np.flatnonzero(table)
+    pos = np.zeros(g.q, dtype=np.int64)
+    pos[g.ctx.powers(g.k)] = np.arange(n)
+    tau = np.zeros(n, dtype=np.int64)
+    tau[h1] = (pos[minus_one[h1]] + g.ctx.log_neg_one // g.k) % n
+    if not table[tau[h1]].all():
+        raise AssertionError(f"G_{g.k}({g.q}): x -> 1 - x leaves H1")
+    neg = n - h1                                # T[0] is False, so t > 0
+    a, b = tau[h1], tau[neg]
+    label = np.minimum.reduce([h1, neg, a, n - a, b, n - b])
+    if g.ctx.r > 1:
+        least = np.zeros(n, dtype=np.int64)
+        least[h1] = label
+        for i in range(1, g.ctx.r):
+            np.minimum(label, least[h1 * pow(g.ctx.p, i, n) % n], out=label)
+    sizes = np.bincount(label, minlength=n)
+    reps = np.flatnonzero(sizes)
+    return reps, sizes[reps]
 
 
 def h1_edge_count(g: PaleyGraph) -> int:
-    table = _difference_table(g)
-    return _edge_count(table, np.flatnonzero(table))
+    """#E(H1) from one degree row per orbit of _h1_orbits."""
+    minus_one = _minus_one(g)
+    table = g.in_S[minus_one]
+    return _edge_count(table, np.flatnonzero(table),
+                       *_h1_orbits(g, minus_one, table))
 
 
 def h_edge_count(g: PaleyGraph) -> int:
+    """#E(H) = |S| |H1| / 2.  Multiplication by omega^k is an automorphism
+    of H that moves exponent t to t + 1, so every vertex has the degree of
+    t = 0, whose neighbours are the t with T[t]: |H1| = popcount(T)."""
     table = _difference_table(g)
-    return _edge_count(table, np.arange(len(table)))
+    return _exact_div(len(table) * int(np.count_nonzero(table)), 2, "H degree sum")
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +540,9 @@ def routes_for(k: int, m: int, q: int) -> list[str]:
 
 def clique_count(ctx: FieldContext, k: int, m: int, method: str = "auto") -> CliqueCountResult:
     """K_m(G_k(q)) by the ROUTES entry (m, method); 'auto' is the scalable
-    exact route, subgraph for m = 4 and thm for m = 3."""
+    exact route, subgraph for both m."""
     if method == "auto":
-        method = "thm" if m == 3 else "subgraph"
+        method = "subgraph"
     if (m, method) not in ROUTES:
         raise ValueError(f"no K{m} route named {method!r}")
     return ROUTES[m, method](ctx, k)

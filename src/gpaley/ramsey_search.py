@@ -3,7 +3,7 @@
 A zero count K_m(G_k(q)) = 0 certifies q < R_k(m), so each search reports
 the largest zero q found and the bound (zero + 1).  Each q is one step on
 one field build: the count through clique_count's auto route (subgraph for
-m = 4, the R_k closed form for m = 3), then that q's checks on the same
+both m), then that q's checks on the same
 field, by one rule: a q in a seeded 10% sample of the range up to
 THM2_CROSSCHECK_CAP is recounted by every other route of
 paley_graph.routes_for, and a zero by the naive oracle when it applies.

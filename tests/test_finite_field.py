@@ -295,8 +295,24 @@ def test_exp_table_without_minus_one_in_place_raises(monkeypatch):
     real = finite_field._exp_table
     monkeypatch.setattr(finite_field, "_exp_table",
                         lambda *args: np.roll(real(*args), 1))
+    ctx = build_field(13, 1)
     with pytest.raises(AssertionError, match="not -1"):
-        build_field(13, 1)
+        ctx.np_exp
+    for k in (2, 3, 6):                          # -1 = omega^6 is in S_k
+        with pytest.raises(AssertionError, match="not -1"):
+            ctx.powers(k)
+    assert len(ctx.powers(4)) == 3               # -1 is not a fourth power
+    assert "np_exp" not in vars(ctx) and 2 not in ctx._powers
+
+
+def test_build_field_checks_minus_one_without_a_table(monkeypatch):
+    real = finite_field._power
+    for p, r in ((13, 1), (3, 4)):
+        monkeypatch.setattr(finite_field, "_power",
+                            lambda g, e, *args: real(g, e + 1, *args))
+        with pytest.raises(AssertionError, match="not -1"):
+            build_field(p, r)
+        monkeypatch.undo()
 
 
 def test_split_prime_power():
@@ -401,6 +417,36 @@ def test_large_field_builds_are_byte_identical_to_the_recorded_digests(p, r):
             _build_digest(p, r, True)) == LARGE_FIELD_DIGESTS[p, r]
 
 
+def assert_powers_are_every_kth_exp_entry(p, r, alt):
+    try:
+        ctx = build_field(p, r, alt_generator=alt)
+    except ValueError:                           # no second generator
+        return
+    q = ctx.q
+    tables = {k: ctx.powers(k) for k in range(2, q) if (q - 1) % k == 0}
+    assert "np_exp" not in vars(ctx)            # no table is read from np_exp
+    for k, table in tables.items():
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.tobytes() == ctx.np_exp[::k].tobytes(), (p, r, alt, k)
+    assert ctx.powers(1) is ctx.np_exp
+    with pytest.raises(ValueError, match="does not divide"):
+        ctx.powers(q)
+
+
+def test_powers_match_every_kth_exp_entry_to_5000():
+    for p in range(2, 5001):
+        if is_prime(p):
+            for r in range(1, 13):
+                if p ** r <= 5000:
+                    for alt in (False, True):
+                        assert_powers_are_every_kth_exp_entry(p, r, alt)
+
+
+@pytest.mark.parametrize("p, r", sorted(LARGE_FIELD_DIGESTS))
+def test_powers_match_every_kth_exp_entry_on_the_large_fields(p, r):
+    assert_powers_are_every_kth_exp_entry(p, r, False)
+
+
 def test_is_irreducible_agrees_with_sympy_on_every_small_monic():
     """Reducible and irreducible alike: _smallest_irreducible returns at the
     first irreducible, so only this test reaches every reject branch."""
@@ -430,10 +476,11 @@ def test_prime_powers_match_sympy_primes(q_max):
 
 @pytest.mark.parametrize("p, r", [(2, 16), (3, 10), (2, 20)])
 def test_build_field_peak_memory_is_within_four_exp_tables(p, r):
-    build_field(p, r)
+    build_field(p, r).np_exp
     tracemalloc.start()
     try:
         ctx = build_field(p, r)
+        ctx.np_exp                               # the table is built on first read
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -452,6 +499,7 @@ def test_digit_planes_use_the_narrowest_dtype_that_holds_r_p_minus_1_squared(
 
     monkeypatch.setattr(finite_field.np, "einsum", spy)
     ctx = build_field(p, r)
+    ctx.np_exp                                   # the table is built on first read
     assert seen == {np.dtype(dtype)}, (p, r)
     assert ctx.np_exp.dtype == np.int64
     assert np.array_equal(np.sort(ctx.np_exp), np.arange(1, ctx.q))

@@ -11,14 +11,16 @@ from gpaley import hypergeometric, paley_graph, verify
 from gpaley.characters import canonical_char
 from gpaley.cyclotomic import CycInt
 from gpaley.errors import InvalidCongruence, NonIntegerResult, SizeLimit
-from gpaley.finite_field import DEFAULT_SIZE_LIMIT, build_field, split_prime_power
+from gpaley.finite_field import (DEFAULT_SIZE_LIMIT, build_field,
+                                 paley_congruence, split_prime_power)
 from gpaley.hypergeometric import HIST_K_CAP, f32_scaled
 from gpaley.jacobi import EISENSTEIN, solve_quadform
 from gpaley.orbits import orbit_decompose, xk_closed_form
 from gpaley.paley_graph import (CliqueCountResult, K3_closed, K3_corollary,
                                 K4_corollary, K4_subgraph_method, K4_thm1,
                                 K4_thm2, _difference_table, _edge_count,
-                                _exact_div, _orbit_weights, adjacency_rows,
+                                _exact_div, _h1_orbits, _orbit_weights,
+                                adjacency_rows,
                                 brute_force_K, build_graph, clique_count,
                                 count_cliques, h1_edge_count, h1_vertices,
                                 h_edge_count, pack_words, routes_for,
@@ -301,6 +303,7 @@ def test_clique_count_dispatch():
     for method in ("auto", "thm", "naive", "corollary", "subgraph"):
         assert clique_count(ctx, 2, 3, method=method).count == 17 * 16 * 12 // 48
     res = clique_count(ctx, 2, 4)
+    assert clique_count(ctx, 2, 3).method == res.method == "subgraph"
     assert isinstance(res, CliqueCountResult)
     assert res.to_json()["count"] == "0"
     with pytest.raises(ValueError):
@@ -407,7 +410,7 @@ def assert_edge_kernel_matches_pair_loop_on_random_table(n):
     table[0] = False
     t = np.flatnonzero(rng.integers(0, 3, n))   # about two thirds of [0, n)
     expect = sum(bool(table[b - a]) for i, a in enumerate(t) for b in t[i + 1:])
-    assert _edge_count(table, t) == expect
+    assert _edge_count(table, t, t, np.ones(len(t), dtype=np.int64)) == expect
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 200])
@@ -425,23 +428,25 @@ def test_edge_kernel_byte_lookup_popcount(n, monkeypatch):
 
 
 def test_subgraph_count_leaves_the_list_tables_unbuilt():
-    unbuilt = ("exp_table", "log_table", "one_minus_table", "np_log",
+    unbuilt = ("exp_table", "log_table", "one_minus_table", "np_exp", "np_log",
                "log_one_minus")
-    for p, r, k in ((457, 1, 4), (3457, 1, 6), (3, 4, 4), (2, 6, 3)):
+    for (p, r, k), m in itertools.product(
+            ((457, 1, 4), (3457, 1, 6), (3, 4, 4), (2, 6, 3)), (3, 4)):
         ctx = build_field(p, r)
-        count = clique_count(ctx, k, 4).count
-        assert not any(name in vars(ctx) for name in unbuilt), (p, r, k)
+        count = clique_count(ctx, k, m).count
+        assert not any(name in vars(ctx) for name in unbuilt), (p, r, k, m)
         assert "S" not in vars(build_graph(ctx, k))
         ctx.add(1, 1)                            # a scalar op builds them
         assert [getattr(ctx, name) for name in unbuilt[:3]] == [
             ctx.np_exp.tolist(), ctx.np_log.tolist(), ctx.log_one_minus.tolist()]
-        # the subgraph count reads neither the log nor the difference table
+        # the subgraph count reads neither the exp, the log nor the
+        # difference table
         shuffled = build_field(p, r)
         rng = np.random.default_rng(ctx.q)
-        shuffled.__dict__["np_log"] = rng.permutation(ctx.np_log)
-        shuffled.__dict__["log_one_minus"] = rng.permutation(ctx.log_one_minus)
+        for name in unbuilt[3:]:
+            shuffled.__dict__[name] = rng.permutation(getattr(ctx, name))
         assert not np.array_equal(shuffled.np_log, ctx.np_log), (p, r, k)
-        assert clique_count(shuffled, k, 4).count == count, (p, r, k)
+        assert clique_count(shuffled, k, m).count == count, (p, r, k, m)
 
 
 def test_graph_routes_build_one_graph_per_field_and_k(monkeypatch):
@@ -459,6 +464,71 @@ def test_graph_routes_build_one_graph_per_field_and_k(monkeypatch):
     pairs = verify.valid_pairs(200, (2, 3, 4, 5))
     assert len(pairs) == 83
     assert sorted(calls) == sorted((q, k) for k, q in pairs)
+
+
+# extension fields GF(2^8..2^16), GF(3^4..3^10), GF(5^6) and GF(7^5), each
+# at its three smallest admissible k and its largest (2^13 - 1 is prime, so
+# GF(2^13) has only k = q - 1)
+ORBIT_FIELDS = [(2, r) for r in range(8, 17)] + [
+    (3, r) for r in range(4, 11)] + [(5, 6), (7, 5)]
+
+
+def orbit_ks(q):
+    ks = [k for k in range(2, q) if paley_congruence(k, q)]
+    return sorted(set(ks[:3] + ks[-1:]))
+
+
+def assert_orbit_count_matches_the_full_kernel(g):
+    table = _difference_table(g)
+    t = np.flatnonzero(table)
+    reps, sizes = _h1_orbits(g, paley_graph._minus_one(g), table)
+    assert sizes.sum() == len(t) and np.isin(reps, t).all(), (g.k, g.q)
+    full = _edge_count(table, t, t, np.ones(len(t), dtype=np.int64))
+    assert h1_edge_count(g) == full, (g.k, g.q)
+    return len(reps), len(t)
+
+
+def test_h1_orbit_count_matches_the_full_kernel_to_2000():
+    pairs = [(k, q) for k in range(2, 9) for q in admissible_q(k, 2000)]
+    assert len(pairs) == 675
+    for k, q in pairs:
+        assert_orbit_count_matches_the_full_kernel(build_graph(get_field(q), k))
+
+
+@pytest.mark.parametrize("p, r", ORBIT_FIELDS)
+def test_h1_orbit_count_matches_the_full_kernel_on_extension_fields(p, r):
+    ctx = build_field(p, r)
+    ks = orbit_ks(ctx.q)
+    assert ks, (p, r)
+    for k in ks:
+        assert_orbit_count_matches_the_full_kernel(build_graph(ctx, k))
+
+
+def test_h1_orbits_read_one_row_per_orbit_of_the_edge_stabiliser():
+    # 14761 vertices of H1 in GF(3^10), k = 2; the orbits have at most
+    # 6 r = 60 members
+    rows, n_h1 = assert_orbit_count_matches_the_full_kernel(
+        build_graph(get_field(59049), 2))
+    assert (rows, n_h1) == (257, 14761)
+
+
+@pytest.mark.parametrize("k, q", [(2, 13), (2, 61), (3, 61), (2, 81), (4, 625)])
+def test_h1_orbits_raise_when_one_minus_x_leaves_h1(k, q):
+    g = build_graph(build_field(*split_prime_power(q)), k)
+    count = h1_edge_count(g)
+    assert count == h1_edge_count(build_graph(get_field(q), k))
+    # a wrong ind(-1) turns tau into x -> x - 1, which does not keep H1
+    g.ctx.log_neg_one = 0
+    with pytest.raises(AssertionError, match="leaves H1"):
+        h1_edge_count(g)
+
+
+def test_K3_subgraph_matches_thm_to_1500():
+    pairs = [(k, q) for k in range(2, 9) for q in admissible_q(k, 1500)]
+    for k, q in pairs:
+        ctx = get_field(q)
+        assert (clique_count(ctx, k, 3, "subgraph").count
+                == clique_count(ctx, k, 3, "thm").count), (k, q)
 
 
 def test_difference_table_matches_the_log_sub_form():
