@@ -16,12 +16,15 @@ order-k character, residue_histogram counts the residue patterns of all
 (a, b) pairs once per (q, k), and every lambda = 1 value is a fold of it.
 It counts them in polyphase Parseval form: the length-(q-1)/k phases of
 the class indicators are rfft'd once each by numpy's pocketfft, and one
-real einsum contracts their spectra into the k^4 (k + 1) class sums with
-no inverse transform: about k^5 M float64 multiply-adds at transform
+real matrix product per block (np.matmul, a BLAS GEMM, which may run
+OpenBLAS threads) contracts their spectra into the k^4 (k + 1) class sums
+with no inverse transform: about k^5 M float64 multiply-adds at transform
 length M = (q - 1)/k.  The class sums must round within 1/4, match the
 exact total mass and obey the a <-> b swap law before any bin is kept, so
 no count flows from an unchecked float; f32_scaled is its independent
-oracle.
+oracle.  The a-priori rounding bound rests on Higham's summation bound,
+which holds for any summation order, so it does not depend on the order
+the GEMM adds in.
 
 The reduction and transformation checkers compare both sides of the known
 identities after clearing all denominators by powers of q; they return a
@@ -222,11 +225,13 @@ def _class_sums(cls: np.ndarray, k: int) -> np.ndarray:
     1.  A b row shifted one step, for the carry, is a cyclic shift at
     length M, so by the shift theorem its transform is FB_jx turned by
     exp(2 pi i f/M).  B rows are held as [c, j] = [i + s], so a pair
-    (i, s) reads row i + s.  One real, unoptimized np.einsum per block
-    contracts the Re and Im parts: k^4 (k + 1) class sums of about M
-    multiply-adds each.  Blocks of i and of bins f keep the products FA FM
-    within CONTRACTION_BLOCK float64 cells.  No matrix product is used, so
-    no BLAS thread pool runs.
+    (i, s) reads row i + s.  One real np.matmul per block, a BLAS GEMM
+    of each pair's b rows [x, Re/Im f] against its product view FA FM
+    transposed to [Re/Im f, (t, u)], contracts the Re and Im parts: k^4
+    (k + 1) class sums of about M multiply-adds each.  Blocks of i and of
+    bins f keep the products FA FM within CONTRACTION_BLOCK float64
+    cells.  The GEMM may run OpenBLAS threads and adds in its own blocked
+    order.
 
     Guard: every class sum must round to an integer within 1/4, or
     InexactTransform is raised (residue_histogram checks the rest).  A
@@ -237,9 +242,10 @@ def _class_sums(cls: np.ndarray, k: int) -> np.ndarray:
     factors move a class sum by at most about 3 c u log2(M) M^2.  Its
     terms total at most 4 M^2 in absolute value, so the products and the
     float64 accumulation of about M + 2 of them add at most about
-    (4M + 12) u M^2, or about 4 u M^3.  That is under 0.02 for
-    M <= 2^15 and reaches 1/4 near M = 82500, where the guard alone
-    decides."""
+    (4M + 12) u M^2, or about 4 u M^3: Higham's bound gamma_n sum |x_i|
+    (sec. 4.2) holds for any summation order, the GEMM's included.  That
+    is under 0.02 for M <= 2^15 and reaches 1/4 near M = 82500, where the
+    guard alone decides."""
     N = len(cls)
     M = N // k
     hits = cls.reshape(M, k).T[:, None, :] == np.arange(k)[:, None]    # [i, u, n']
@@ -268,8 +274,8 @@ def _class_sums(cls: np.ndarray, k: int) -> np.ndarray:
         for i0 in range(0, k, i_step):
             prod = fa[i0:i0 + i_step, None, None, :, f] * fm[None, :, :, None, f]
             p = slice(i0 * k, (i0 + len(prod)) * k)
-            sums[p] += np.einsum("pxg,pag->pxa", b_re_im[ring[p], :, g],
-                                 prod.view(np.float64).reshape(len(prod) * k, (k + 1) * k, -1))
+            fm_re_im = prod.view(np.float64).reshape(len(prod) * k, (k + 1) * k, -1)
+            sums[p] += np.matmul(b_re_im[ring[p], :, g], fm_re_im.transpose(0, 2, 1))
     counts = np.rint(sums)
     sums -= counts
     if not np.abs(sums, out=sums).max(initial=0.0) < 0.25:

@@ -19,10 +19,12 @@ The K4 routes and the kernels they read:
   thm1       k^5 times residue_histogram's all-zero bin (= 2 #E(H1)), to
              which orthogonality folds Theorem 1's (Z_k)^5 sum; k <= 8.
              It checks the histogram against _edge_count, no more.
-  thm2       R_k and S_k (cyclotomic numbers) and the X_k orbit sum of
-             3F2 values: for k <= 8 one int64 product of the histogram
-             with the process-wide orbit-weight table of k
-             (_orbit_weights), above that one direct 3F2 per orbit.
+  thm2       R_k and S_k (cyclotomic numbers) and the sum of 3F2 values
+             over X_k: for k <= 8 one int64 product of the histogram
+             with the process-wide weight table of k (_orbit_weights),
+             which reads X_k and the histogram, not the order-24 group or
+             its orbits; above that one direct 3F2 per orbit, times its
+             size.
   corollary  k = 2, 3, 4 closed forms from quadratic forms; k = 3, 4 also
              read 3F2 values from the histogram.
 
@@ -33,7 +35,7 @@ naive.  clique_count's 'auto' is subgraph for both orders.
 
 thm1, thm2 and the k = 3, 4 K4 corollaries share residue_histogram, whose
 class sums come from forward pocketfft transforms contracted by one real
-einsum in float64 (hypergeometric._class_sums); it raises InexactTransform
+float64 GEMM per block (hypergeometric._class_sums); it raises InexactTransform
 unless they round within 1/4, match the exact mass and the a = b count,
 and obey the a <-> b swap law.  One fault there moves the three together;
 the naive and subgraph routes read neither it nor the direct windowed pass
@@ -63,7 +65,7 @@ from .hypergeometric import (HIST_K_CAP, _coef_vector, f32_full_grid_sum,
                              f32_indexed, residue_histogram)
 from .jacobi import (EISENSTEIN, TWO_SQUARES, TWO_TIMES_SQUARE, R_k, S_k,
                      solve_quadform)
-from .orbits import orbit_decompose
+from .orbits import _xk_block, orbit_decompose
 
 ORACLE_CAP = {3: 1000, 4: 300}    # largest q the naive oracle counts, by m
 
@@ -328,8 +330,11 @@ def _h1_orbits(g: PaleyGraph, minus_one: np.ndarray, table: np.ndarray):
     1/x and 1 - x generate the six maps x, 1/x, 1 - x, 1/(1 - x),
     (x - 1)/x, x/(x - 1), read here as t, -t, tau(t), -tau(t), tau(-t),
     -tau(-t); their least value at each Frobenius image p^i t is the
-    orbit minimum.  tau is checked to map H1 into H1, one gather, before
-    any label is read."""
+    orbit minimum.  That minimum over i < r is taken by doubling over
+    the permutation t -> p t of H1's places: ceil(log2 r) rounds of a
+    gather and a minimum, the permutation squared between rounds.  tau
+    is checked to map H1 into H1, one gather, before any label is
+    read."""
     n = len(table)
     h1 = np.flatnonzero(table)
     pos = np.zeros(g.q, dtype=np.int64)
@@ -342,10 +347,15 @@ def _h1_orbits(g: PaleyGraph, minus_one: np.ndarray, table: np.ndarray):
     a, b = tau[h1], tau[neg]
     label = np.minimum.reduce([h1, neg, a, n - a, b, n - b])
     if g.ctx.r > 1:
-        least = np.zeros(n, dtype=np.int64)
-        least[h1] = label
-        for i in range(1, g.ctx.r):
-            np.minimum(label, least[h1 * pow(g.ctx.p, i, n) % n], out=label)
+        place = np.zeros(n, dtype=np.int64)
+        place[h1] = np.arange(len(h1))
+        frob = h1 * g.ctx.p
+        step = place[frob - frob // n * n]      # place of p t; p^r t = t
+        span = 1                                # label: least over p^i t, i < span
+        while span < g.ctx.r:
+            np.minimum(label, label[step], out=label)
+            step = step[step]
+            span *= 2
     sizes = np.bincount(label, minlength=n)
     reps = np.flatnonzero(sizes)
     return reps, sizes[reps]
@@ -421,21 +431,23 @@ def K4_thm1(ctx: FieldContext, k: int) -> CliqueCountResult:
 
 @lru_cache(maxsize=None)
 def _orbit_weights(k: int) -> np.ndarray:
-    """W[x, j] = sum of |orbit r| over the X_k orbits r with <x, c(rep_r)>
-    = j (mod k), c = _coef_vector, as a read-only (k^5, k) int64 table
-    whose rows x run over (Z_k)^5 in residue_histogram's bin order.  The
-    orbit sum of q^2 * 3F2(t | 1) is then sum_j (hist @ W)[j] zeta^j.
+    """W[x, j] = #{t in X_k : <x, c(t)> = j (mod k)}, c = _coef_vector, as
+    a read-only (k^5, k) int64 table whose rows x run over (Z_k)^5 in
+    residue_histogram's bin order.  The sum of q^2 * 3F2(t | 1) over X_k,
+    Theorem 2's own sum, is then sum_j (hist @ W)[j] zeta^j.  It reads X_k
+    (orbits._xk_block) only: no group and no orbit decomposition.  Summing
+    each orbit's representative times its size gives the same integer,
+    since the 3F2 values are constant on orbits, but not the same table.
 
-    Start from g[c] = |orbit r| at c = c(rep_r) (c is a bijection of
-    (Z_k)^5, so no two orbits share a cell), held with an extra axis j at
+    Start from g[c] = 1 at each c = c(t), t in X_k (c is a bijection of
+    (Z_k)^5, so no two t share a cell), held with an extra axis j at
     j = 0.  Five exact axis passes follow; pass d turns axis d from c_d
     into x_d, summing over c_d the table with its j axis turned by
     x_d c_d.  The axis being turned is held first and j second, so each
     turn is two contiguous slices: a pass is O(k^7) adds, and the two
     k^6-cell buffers are reused."""
-    reps, sizes = zip(*orbit_decompose(k).rep_sizes())
-    g = np.zeros(k ** 5, dtype=np.int64)
-    g[np.ravel_multi_index(_coef_vector(k, np.array(reps).T), (k,) * 5)] = sizes
+    cells = np.ravel_multi_index(_coef_vector(k, _xk_block(k)), (k,) * 5)
+    g = np.bincount(cells, minlength=k ** 5)
     table = np.zeros((k, k, k ** 4), dtype=np.int64)       # [c_1, j, c_2..c_5]
     table[:, 0] = g.reshape(k, k ** 4)
     turned = np.empty_like(table)                           # [x_d, j, rest]
@@ -458,8 +470,8 @@ def _orbit_weights(k: int) -> np.ndarray:
 
 def xk_orbit_sum(ctx: FieldContext, k: int) -> int:
     """Sum of q^2 * 3F2(t | 1) over X_k.  For k <= HIST_K_CAP, one fold of
-    residue_histogram through _orbit_weights(k); above it, one direct
-    evaluation per orbit."""
+    residue_histogram through _orbit_weights(k), which reads X_k and not
+    the group; above it, one direct evaluation per orbit, times its size."""
     if k > HIST_K_CAP:
         total = None
         for rep, size in orbit_decompose(k).rep_sizes():

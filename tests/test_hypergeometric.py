@@ -1,5 +1,6 @@
 """Scaled hypergeometric evaluation, reductions, and transformations."""
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -11,12 +12,14 @@ from gpaley.characters import MultChar, canonical_char, trivial_char
 from gpaley.cyclotomic import CycInt
 from gpaley.errors import (GPaleyError, InexactTransform, OrderNotDividing,
                            ShapeMismatch)
-from gpaley.finite_field import BLOCK_ELEMENTS, build_field, row_blocks
+from gpaley.finite_field import (BLOCK_ELEMENTS, build_field, row_blocks,
+                                 split_prime_power)
 from gpaley.hypergeometric import (check_reduction, check_transformation,
                                    f21_definitional_numeric, f21_scaled,
                                    f32_definitional_numeric, f32_full_grid_sum,
                                    f32_indexed, f32_scaled, residue_histogram)
 from gpaley.jacobi import solve_quadform
+from gpaley.ramsey_search import admissible_q
 from gpaley.verify import (check_exact_vs_numeric, check_orbit_invariance,
                            check_reductions, check_transformations)
 from helpers import digit_add, get_field, paley_pairs
@@ -151,6 +154,23 @@ def test_histogram_values_match_the_direct_pass_at_large_q(q):
                                                     conductor=6), (q, t)
 
 
+# digest of the histograms whose class sums were contracted by one real
+# einsum per block, over every admissible (q, k), q <= 3000, k <= 8
+HISTOGRAM_DIGEST = (948, "de00b56a6cd096b4376d8b4c1acce258"
+                         "ae42ccbefca9e4d2cbb9d1c8ec9f32df")
+
+
+def test_every_histogram_to_3000_is_byte_identical_to_the_recorded_digest():
+    pairs = sorted((q, k) for k in range(2, 9) for q in admissible_q(k, 3000))
+    fields, h = {}, hashlib.sha256()
+    for q, k in pairs:
+        if q not in fields:
+            fields[q] = build_field(*split_prime_power(q))
+        h.update(repr((q, k)).encode())
+        h.update(residue_histogram(fields[q], k).tobytes())
+    assert (len(pairs), h.hexdigest()) == HISTOGRAM_DIGEST
+
+
 @pytest.mark.parametrize("lags, match", [
     ({2: 0.5}, "within 1/4"),              # a fraction: the rounding guard
     ({2: 1.0}, "total mass"),              # one more pair in a class sum
@@ -158,22 +178,22 @@ def test_histogram_values_match_the_direct_pass_at_large_q(q):
     ({1: 1.0, 2: -1.0}, "swap law"),       # mass kept, moved between m-classes
 ])
 def test_a_perturbed_transform_raises_and_caches_nothing(monkeypatch, lags, match):
-    """The first einsum call is the float contraction's only block at
-    q = 37, k = 4.  Each key of lags is an m-class t, and the einsum's
+    """The first matmul call is the float contraction's only block at
+    q = 37, k = 4.  Each key of lags is an m-class t, and the matmul's
     class sum [(i, s), x, (t, u)] = [0, 0, 4t] is moved by its value."""
     ctx = build_field(37, 1)                   # rho(-1) = 2 for k = 4
-    einsum = np.einsum
+    matmul = np.matmul
     calls = []
 
     def perturbed(*args, **kwargs):
-        out = einsum(*args, **kwargs)
+        out = matmul(*args, **kwargs)
         if not calls:
             for t, delta in lags.items():
                 out[0, 0, 4 * t] += delta
         calls.append(out.shape)
         return out
 
-    monkeypatch.setattr(np, "einsum", perturbed)
+    monkeypatch.setattr(np, "matmul", perturbed)
     with pytest.raises(InexactTransform, match=match) as err:
         residue_histogram(ctx, 4)
     assert isinstance(err.value, GPaleyError) and calls[0] == (16, 4, 20)

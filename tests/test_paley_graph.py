@@ -7,13 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpaley import hypergeometric, paley_graph, verify
+from gpaley import hypergeometric, orbits, paley_graph, verify
 from gpaley.characters import canonical_char
 from gpaley.cyclotomic import CycInt
 from gpaley.errors import InvalidCongruence, NonIntegerResult, SizeLimit
 from gpaley.finite_field import (DEFAULT_SIZE_LIMIT, build_field,
-                                 paley_congruence, split_prime_power)
-from gpaley.hypergeometric import HIST_K_CAP, f32_scaled
+                                 paley_congruence, row_blocks,
+                                 split_prime_power)
+from gpaley.hypergeometric import (HIST_K_CAP, _coef_vector, f32_scaled,
+                                   residue_histogram)
 from gpaley.jacobi import EISENSTEIN, solve_quadform
 from gpaley.orbits import orbit_decompose, xk_closed_form
 from gpaley.paley_graph import (CliqueCountResult, K3_closed, K3_corollary,
@@ -244,6 +246,47 @@ def test_xk_orbit_sum_matches_the_direct_pass_per_orbit():
             want = sum((f32_scaled(*(chi ** ti for ti in rep), lam=1, conductor=k) * size
                         for rep, size in orbit_decompose(k).rep_sizes()), CycInt.zero(k))
             assert xk_orbit_sum(ctx, k) == want.as_integer(), (k, q)
+
+
+def _rep_size_weights(k):
+    """The table as built from the group: W[x, j] = sum of |orbit r| over
+    the X_k orbits r with <x, c(rep_r)> = j (mod k), by direct dot
+    products of every x with every representative's c."""
+    reps, sizes = zip(*orbit_decompose(k).rep_sizes())
+    coef = _coef_vector(k, np.array(reps).T)               # (5, orbits)
+    x = np.indices((k,) * 5).reshape(5, -1).T
+    sizes = np.array(sizes)
+    weights = np.zeros((k ** 5, k), dtype=np.int64)
+    for blk in row_blocks(k ** 5, len(sizes)):
+        dot = x[blk] @ coef % k
+        for j in range(k):
+            weights[blk, j] = (dot == j).astype(np.int64) @ sizes
+    return weights
+
+
+def test_xk_weight_table_folds_to_the_orbit_sum_to_600():
+    """The X_k table and the reps x sizes table are different tables, but
+    the 3F2 values are constant on orbits, so the folds agree."""
+    for k in range(2, HIST_K_CAP + 1):
+        oracle = _rep_size_weights(k)
+        for q in admissible_q(k, 600):
+            counts = residue_histogram(get_field(q), k) @ oracle
+            want = CycInt.from_zeta_counts(k, counts.tolist()).as_integer()
+            assert xk_orbit_sum(get_field(q), k) == want, (k, q)
+
+
+def test_k4_thm2_reads_neither_the_group_nor_the_orbits(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the group was read")
+
+    for module in (orbits, paley_graph):
+        monkeypatch.setattr(module, "orbit_decompose", refused)
+    monkeypatch.setattr(orbits, "generate_group", refused)
+    _orbit_weights.cache_clear()
+    for k in range(2, HIST_K_CAP + 1):
+        for q in admissible_q(k, 300)[:3]:
+            ctx = build_field(*split_prime_power(q))
+            assert K4_thm2(ctx, k).count == K4_subgraph_method(build_graph(ctx, k)).count, (k, q)
 
 
 def test_orbit_weight_rows_sum_to_the_size_of_xk():
