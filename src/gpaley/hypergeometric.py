@@ -30,8 +30,8 @@ The reduction and transformation checkers compare both sides of the known
 identities after clearing all denominators by powers of q; they return a
 plain bool so sweeps can be run at scale.
 
-A floating-point evaluation of the underlying sum over all q-1 characters is
-included purely as a cross-validation oracle; results never flow from it.
+greene_sum is Greene's definition itself, exact in Z[zeta_(q-1)]; verify
+checks the evaluators against it.
 """
 
 from __future__ import annotations
@@ -422,64 +422,38 @@ def check_transformation(case, params) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# floating-point oracle: the definitional sum over all q-1 characters
+# Greene's definition: the sum over all q - 1 characters, exact
 # ---------------------------------------------------------------------------
 
-def _numeric_tables(ctx: FieldContext):
-    if "numeric" not in ctx._caches:
-        q = ctx.q
-        roots = np.exp(2j * np.pi * np.arange(q - 1) / (q - 1))
-        log_a = ctx.np_log[2:]                 # skip the elements 0 and 1
-        log_1ma = ctx.log_one_minus[log_a]
-        ctx._caches["numeric"] = (roots, log_a, log_1ma, {})
-    return ctx._caches["numeric"]
+def greene_sum(tops, bottoms, lam: int) -> CycInt:
+    """(q - 1) q^(n-1) nF(n-1)(A_0 .. A_(n-1); B_1 .. B_(n-1) | lam) at
+    conductor c = q - 1 by Greene's definition (Trans. AMS 301, 1987): the
+    sum over the c characters chi = omega-char^m of prod_i
+    q (A_i chi over B_i chi) chi(lam), B_0 trivial, where
+    q (X over Y) = Y(-1) J(X, conj Y) = sum over a of X(a) conj Y(a - 1).
 
-
-def _numeric_jacobi(ctx: FieldContext, ma: int, mb: int) -> complex:
-    roots, log_a, log_1ma, memo = _numeric_tables(ctx)
-    qm1 = ctx.q - 1
-    key = (ma % qm1, mb % qm1)
-    if key not in memo:
-        e = (key[0] * log_a + key[1] * log_1ma) % qm1
-        memo[key] = complex(roots[e].sum())
-    return memo[key]
-
-
-def _numeric_char(ctx: FieldContext, m: int, a: int) -> complex:
-    if a == 0:
-        return 0j
-    roots = _numeric_tables(ctx)[0]
-    return complex(roots[(m * ctx.dlog(a)) % (ctx.q - 1)])
-
-
-def _numeric_binom(ctx: FieldContext, mx: int, my: int) -> complex:
-    return _numeric_char(ctx, my, ctx.neg(1)) / ctx.q * _numeric_jacobi(ctx, mx, -my)
-
-
-def f21_definitional_numeric(A: MultChar, B: MultChar, C: MultChar, lam: int) -> complex:
-    """2F1 via the sum over all characters; float, oracle use only."""
-    ctx = same_ctx((A, B, C))
+    Of the field's tables it reads only log_one_minus, and ind(lam).  Each
+    factor is one bincount of zeta exponents in Z[x]/(x^c - 1), a row per
+    m, with a = omega^n and a - 1 = omega^(L(n) + ind(-1)).  Factors
+    multiply by a cyclic convolution per row, an int64 matmul against the
+    circulant gather f[m, (i - j) mod c]; chi(lam) turns row m by
+    m ind(lam) in a scatter-add into c bins.  Entries stay below
+    c (q - 2)^n, so int64 is exact; the gather's c^3 cells cap q at 101."""
+    ctx = same_ctx((*tops, *bottoms))
+    c = ctx.q - 1
+    if c ** 3 > BLOCK_ELEMENTS:
+        raise SizeLimit(f"Greene's sum gathers (q-1)^3 > {BLOCK_ELEMENTS} cells at q={ctx.q}")
     if lam == 0:
-        return 0j
-    q = ctx.q
-    total = 0j
-    for m in range(q - 1):
-        total += (_numeric_binom(ctx, A.m + m, m)
-                  * _numeric_binom(ctx, B.m + m, C.m + m)
-                  * _numeric_char(ctx, m, lam))
-    return total * q / (q - 1)
-
-
-def f32_definitional_numeric(A: MultChar, B: MultChar, C: MultChar,
-                             D: MultChar, E: MultChar, lam: int) -> complex:
-    ctx = same_ctx((A, B, C, D, E))
-    if lam == 0:
-        return 0j
-    q = ctx.q
-    total = 0j
-    for m in range(q - 1):
-        total += (_numeric_binom(ctx, A.m + m, m)
-                  * _numeric_binom(ctx, B.m + m, D.m + m)
-                  * _numeric_binom(ctx, C.m + m, E.m + m)
-                  * _numeric_char(ctx, m, lam))
-    return total * q / (q - 1)
+        return CycInt.zero(c)
+    n = np.arange(1, c)                        # a = omega^n, a != 0, 1
+    l_am1 = ctx.log_one_minus[1:] + ctx.log_neg_one        # ind(a - 1)
+    m = np.arange(c)[:, None]
+    circulant = (np.arange(c) - m) % c         # [j, i] -> i - j
+    rows = None
+    for x, y in zip((A.m for A in tops), (0, *(B.m for B in bottoms)), strict=True):
+        e = ((x + m) * n - (y + m) * l_am1) % c + m * c
+        f = np.bincount(e.ravel(), minlength=c * c).reshape(c, c)
+        rows = f if rows is None else np.matmul(rows[:, None, :], f[:, circulant])[:, 0]
+    counts = np.zeros(c, dtype=np.int64)
+    np.add.at(counts, (m * ctx.dlog(lam) + np.arange(c)) % c, rows)
+    return CycInt.from_zeta_counts(c, counts.tolist())

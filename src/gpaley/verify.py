@@ -16,10 +16,8 @@ import numpy as np
 from .characters import MultChar, canonical_char, trivial_char
 from .cyclotomic import CycInt
 from .finite_field import build_field, prime_powers, split_prime_power
-from .hypergeometric import (check_reduction, check_transformation,
-                             f21_definitional_numeric, f21_scaled,
-                             f32_definitional_numeric, f32_full_grid_sum,
-                             f32_indexed)
+from .hypergeometric import (check_reduction, check_transformation, f21_scaled,
+                             f32_full_grid_sum, f32_indexed, greene_sum)
 from .jacobi import (EISENSTEIN, J0, JJ0, TWO_SQUARES, TWO_TIMES_SQUARE, R_k,
                      S_k, jacobi_sum, jacobi_table, solve_quadform)
 from .orbits import (build_Xk, burnside_Nk, fixed_point_closed_forms,
@@ -381,10 +379,11 @@ def check_orbit_invariance(seed: int = IDENTITY_SEED, q_limit: int = 61,
     return _result("orbit invariance of 3F2", failures, instances, minimum=min_cases)
 
 
-def check_exact_vs_numeric(seed: int = IDENTITY_SEED, q_limit: int = 61,
-                           tol: float = 1e-6) -> CheckResult:
-    """Every character order dividing q-1 is fair game here, not only the
-    orders satisfying the graph congruence."""
+def check_exact_vs_numeric(seed: int = IDENTITY_SEED, q_limit: int = 61) -> CheckResult:
+    """Indexed 3F2 and 2F1 values against Greene's definition, summed
+    exactly over all q-1 characters: greene_sum is (q-1) times the value
+    at conductor q-1.  Every character order dividing q-1 is fair game
+    here, not only the orders satisfying the graph congruence."""
     rng = random.Random(seed)
     failures, instances = [], 0
     divisor_pairs = [(k, q) for q in prime_powers(q_limit) if q > 3
@@ -394,20 +393,18 @@ def check_exact_vs_numeric(seed: int = IDENTITY_SEED, q_limit: int = 61,
         chi = canonical_char(ctx, k)
         for _ in range(3):
             t = tuple(rng.randrange(k) for _ in range(5))
-            exact = f32_indexed(ctx, k, t).complex_value()
             chars = [chi ** ti for ti in t]
-            numeric = q * q * f32_definitional_numeric(*chars, lam=1)
+            value = f32_indexed(ctx, k, t).to_conductor(q - 1)
             instances += 1
-            if abs(exact - numeric) > tol:
+            if greene_sum(chars[:3], chars[3:], 1) != (q - 1) * value:
                 failures.append(("3F2", k, q, t))
             a, b, c = (chi ** rng.randrange(k) for _ in range(3))
             lam = rng.randrange(1, q)
-            exact2 = f21_scaled(a, b, c, lam, conductor=k).complex_value()
-            numeric2 = q * f21_definitional_numeric(a, b, c, lam)
+            value = f21_scaled(a, b, c, lam, conductor=k).to_conductor(q - 1)
             instances += 1
-            if abs(exact2 - numeric2) > tol:
+            if greene_sum((a, b), (c,), lam) != (q - 1) * value:
                 failures.append(("2F1", k, q, lam))
-    return _result("exact vs definitional numeric", failures, instances, minimum=50)
+    return _result("exact vs Greene's definition", failures, instances, minimum=50)
 
 
 def check_subgraph_props(q_limit: int = 61, ks=(2, 3, 4, 5, 6),

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,15 @@ def test_field_info(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["q"] == 16 and data["modulus"] == [1, 1, 0, 0, 1]
+
+
+def test_python_dash_m_runs_from_a_bare_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "gpaley", "field", "info", "--p", "13"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["q"] == 13
 
 
 def test_orbits_subcommand(capsys):

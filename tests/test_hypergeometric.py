@@ -8,16 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gpaley import hypergeometric, verify
 from gpaley.characters import MultChar, canonical_char, trivial_char
-from gpaley.cyclotomic import CycInt
+from gpaley.cyclotomic import CycInt, zeta_pow
 from gpaley.errors import (GPaleyError, InexactTransform, OrderNotDividing,
-                           ShapeMismatch)
+                           ShapeMismatch, SizeLimit)
 from gpaley.finite_field import (BLOCK_ELEMENTS, build_field, row_blocks,
                                  split_prime_power)
 from gpaley.hypergeometric import (check_reduction, check_transformation,
-                                   f21_definitional_numeric, f21_scaled,
-                                   f32_definitional_numeric, f32_full_grid_sum,
-                                   f32_indexed, f32_scaled, residue_histogram)
+                                   f21_scaled, f32_full_grid_sum, f32_indexed,
+                                   f32_scaled, greene_sum, residue_histogram)
 from gpaley.jacobi import solve_quadform
 from gpaley.ramsey_search import admissible_q
 from gpaley.verify import (check_exact_vs_numeric, check_orbit_invariance,
@@ -38,15 +38,15 @@ def test_lambda_zero_annihilates():
     assert f21_scaled(chi, chi, eps, lam=0).is_zero()
     assert f32_scaled(chi, chi, chi, eps, eps, lam=0).is_zero()
     assert f32_indexed(ctx, 3, (1, 1, 2, 0, 0), lam=0).is_zero()
+    assert greene_sum((chi, chi, chi), (eps, eps), 0).is_zero()
 
 
 def test_f21_against_definitional_numeric():
     ctx = get_field(13)
     phi = canonical_char(ctx, 2)
     eps = trivial_char(ctx)
-    exact = f21_scaled(phi, phi, eps, lam=1).complex_value()
-    numeric = 13 * f21_definitional_numeric(phi, phi, eps, lam=1)
-    assert abs(exact - numeric) < 1e-9
+    exact = f21_scaled(phi, phi, eps, lam=1).to_conductor(12)
+    assert greene_sum((phi, phi), (eps,), 1) == 12 * exact
 
 
 def test_paper_search_values():
@@ -290,8 +290,11 @@ def test_f32_scaled_at_general_lambda_matches_scalar_double_loop(q):
     for _ in range(3):
         chars = [MultChar(ctx, rng.randrange(q - 1)) for _ in range(5)]
         for lam in rng.sample(range(2, q), 3):
-            assert f32_scaled(*chars, lam=lam) == _f32_double_loop(*chars, lam), (
-                q, [ch.m for ch in chars], lam)
+            expect = _f32_double_loop(*chars, lam)
+            where = (q, [ch.m for ch in chars], lam)
+            assert f32_scaled(*chars, lam=lam) == expect, where
+            assert greene_sum(chars[:3], chars[3:], lam) == (
+                (q - 1) * expect.to_conductor(q - 1)), where
 
 
 def test_histogram_rejects_bad_orders():
@@ -422,5 +425,55 @@ def test_definitional_numeric_3f2_spot():
     chi3 = canonical_char(ctx, 3)
     eps = trivial_char(ctx)
     exact = f32_scaled(chi3, chi3, chi3.conj(), eps, eps, 1, conductor=3)
-    numeric = 169 * f32_definitional_numeric(chi3, chi3, chi3.conj(), eps, eps, 1)
-    assert abs(exact.complex_value() - numeric) < 1e-8
+    assert greene_sum((chi3, chi3, chi3.conj()), (eps, eps), 1) == 12 * exact.to_conductor(12)
+
+
+def test_exact_vs_greene_reads_no_float(monkeypatch):
+    def refuse(self):
+        raise AssertionError("complex_value called")
+    monkeypatch.setattr(CycInt, "complex_value", refuse)
+    res = check_exact_vs_numeric(q_limit=29)
+    assert res.passed, res.detail
+
+
+@pytest.mark.parametrize("name, case, other", [("f21_scaled", "'2F1'", "'3F2'"),
+                                               ("f32_indexed", "'3F2'", "'2F1'")])
+def test_exact_vs_greene_names_a_faulted_evaluator(monkeypatch, name, case, other):
+    """Each value times zeta_k, as if one term's exponent were off by one."""
+    real = getattr(verify, name)
+
+    def turned(*args, **kwargs):
+        value = real(*args, **kwargs)
+        return value * zeta_pow(value.k, 1)
+    monkeypatch.setattr(verify, name, turned)
+    res = check_exact_vs_numeric(q_limit=29)
+    assert not res.passed
+    assert case in res.detail and other not in res.detail, res.detail
+
+
+def test_greene_sum_reads_neither_the_window_pass_nor_the_histogram(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("shared kernel called")
+    monkeypatch.setattr(hypergeometric, "_window_bincount", refuse)
+    monkeypatch.setattr(hypergeometric, "residue_histogram", refuse)
+    for q in (13, 16, 25):
+        ctx = get_field(q)
+        rng = random.Random(q)
+        chars = [MultChar(ctx, rng.randrange(q - 1)) for _ in range(5)]
+        lam = rng.randrange(2, q)
+        with pytest.raises(AssertionError):
+            f32_scaled(*chars, lam=lam)
+        expect = _f32_double_loop(*chars, lam)
+        assert greene_sum(chars[:3], chars[3:], lam) == (q - 1) * expect.to_conductor(q - 1)
+        expect = f21_scaled(*chars[:3], lam, conductor=q - 1)
+        assert greene_sum(chars[:2], chars[2:3], lam) == (q - 1) * expect
+
+
+def test_greene_sum_size_limit():
+    """The circulant gather holds (q - 1)^3 cells: q = 101 fits in
+    BLOCK_ELEMENTS, q = 103 does not."""
+    chi = MultChar(get_field(101), 1)
+    assert greene_sum((chi, chi), (chi,), 2).k == 100
+    chi = MultChar(get_field(103), 1)
+    with pytest.raises(SizeLimit):
+        greene_sum((chi, chi), (chi,), 2)
