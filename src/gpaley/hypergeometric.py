@@ -46,8 +46,8 @@ from .cyclotomic import CycInt
 from .errors import InexactTransform, ShapeMismatch, SizeLimit
 from .finite_field import BLOCK_ELEMENTS, FieldContext, windows
 from .jacobi import binom_symbol_scaled
+from .orbits import GRID_LIMIT
 
-HIST_K_CAP = 8   # largest k whose k^5-bin lambda=1 histogram is built
 CONTRACTION_BLOCK = 1 << 16   # float64 cells of spectral products per block
 
 
@@ -162,8 +162,8 @@ def _swap_index(k: int, e: int) -> np.ndarray:
 def residue_histogram(ctx: FieldContext, k: int) -> np.ndarray:
     """Counts of the residue pattern (rho(a), rho(1-a), rho(b), rho(b-1),
     rho(a-b)) over pairs a != b in F_q minus {0, 1}, rho = dlog mod k, as
-    k^5 int64 bins in that digit order.  One exact pass feeds every
-    lambda=1 indexed 3F2 at this (q, k).
+    k^5 int64 bins in that digit order, k^5 <= orbits.GRID_LIMIT (X_k's
+    grid cap, k <= 16).  One exact pass feeds every lambda=1 indexed 3F2.
 
     All three labels come from L(n) = ind(1 - omega^n) (ctx.log_one_minus).
     With N = q - 1, e = rho(-1), a = omega^na and b = a omega^m:
@@ -184,8 +184,8 @@ def residue_histogram(ctx: FieldContext, k: int) -> np.ndarray:
     (j, v - e, i, u + e, w + e).  A failure raises InexactTransform and
     caches nothing."""
     check_order(ctx, k)
-    if k > HIST_K_CAP:
-        raise SizeLimit(f"k^5 histogram bins need k <= {HIST_K_CAP}, got k={k}")
+    if k ** 5 > GRID_LIMIT:
+        raise SizeLimit(f"k^5 histogram bins need k^5 <= {GRID_LIMIT}, got k={k}")
     key = ("f32hist", k)
     if key in ctx._caches:
         return ctx._caches[key]
@@ -298,8 +298,9 @@ def _hist_value(ctx: FieldContext, k: int, t) -> CycInt:
 
 
 def f32_indexed(ctx: FieldContext, k: int, t, lam: int | None = None) -> CycInt:
-    """q^2 * 3F2 at the character powers chi_k^(t1..t5), lambda = 1 unless given."""
-    if (lam is None or lam == 1) and k <= HIST_K_CAP:
+    """q^2 * 3F2 at the character powers chi_k^(t1..t5), lambda = 1 unless
+    given; a residue_histogram fold at lambda = 1 within its k cap."""
+    if (lam is None or lam == 1) and k ** 5 <= GRID_LIMIT:
         return _hist_value(ctx, k, t)
     chi = canonical_char(ctx, k)
     chars = [chi ** ti for ti in t]

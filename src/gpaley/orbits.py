@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import SizeLimit
 
-# largest k^5 grid enumerated for X_k (k <= 16); it also keeps the sums of
-# AffineMap.apply on an int16 block, at most 5(k-1)^2, inside int16
+# largest k^5 grid built, X_k's and residue_histogram's (k <= 16); it also
+# keeps AffineMap.apply's sums on an int16 block, at most 5(k-1)^2, in int16
 GRID_LIMIT = 1 << 20
 
 # column recipes for the seven generators; c[i] is the i-th input column

@@ -17,14 +17,13 @@ The K4 routes and the kernels they read:
              no exp, log or difference table.  The production path for the
              Ramsey searches.
   thm1       k^5 times residue_histogram's all-zero bin (= 2 #E(H1)), to
-             which orthogonality folds Theorem 1's (Z_k)^5 sum; k <= 8.
+             which orthogonality folds Theorem 1's (Z_k)^5 sum; k <= 16.
              It checks the histogram against _edge_count, no more.
   thm2       R_k and S_k (cyclotomic numbers) and the sum of 3F2 values
-             over X_k: for k <= 8 one int64 product of the histogram
-             with the process-wide weight table of k (_orbit_weights),
-             which reads X_k and the histogram, not the order-24 group or
-             its orbits; above that one direct 3F2 per orbit, times its
-             size.
+             over X_k: one int64 product of the histogram with the
+             process-wide weight table of k (_orbit_weights), which reads
+             X_k and the histogram, not the order-24 group or its orbits;
+             k <= 16, and (q-2)(q-3)|X_k| < 2^63 (checked).
   corollary  k = 2, 3, 4 closed forms from quadratic forms; k = 3, 4 also
              read 3F2 values from the histogram.
 
@@ -61,11 +60,11 @@ from .cyclotomic import CycInt
 from .errors import NonIntegerResult, SizeLimit
 from .finite_field import (FieldContext, residue_mask, row_blocks,
                            validate_paley_params, windows)
-from .hypergeometric import (HIST_K_CAP, _coef_vector, f32_full_grid_sum,
-                             f32_indexed, residue_histogram)
+from .hypergeometric import (_coef_vector, f32_full_grid_sum, f32_indexed,
+                             residue_histogram)
 from .jacobi import (EISENSTEIN, TWO_SQUARES, TWO_TIMES_SQUARE, R_k, S_k,
                      solve_quadform)
-from .orbits import _xk_block, orbit_decompose
+from .orbits import GRID_LIMIT, _xk_block, xk_closed_form
 
 ORACLE_CAP = {3: 1000, 4: 300}    # largest q the naive oracle counts, by m
 
@@ -469,17 +468,13 @@ def _orbit_weights(k: int) -> np.ndarray:
 
 
 def xk_orbit_sum(ctx: FieldContext, k: int) -> int:
-    """Sum of q^2 * 3F2(t | 1) over X_k.  For k <= HIST_K_CAP, one fold of
-    residue_histogram through _orbit_weights(k), which reads X_k and not
-    the group; above it, one direct evaluation per orbit, times its size."""
-    if k > HIST_K_CAP:
-        total = None
-        for rep, size in orbit_decompose(k).rep_sizes():
-            v = f32_indexed(ctx, k, rep) * size
-            total = v if total is None else total + v
-        return total.as_integer()
-    # exact in int64: sum(hist) = (q - 2)(q - 3) < 2^48 for q <= 2^24
-    # (DEFAULT_SIZE_LIMIT), and a weight is at most |X_k| < k^5 <= 2^15
+    """Sum of q^2 * 3F2(t | 1) over X_k: one fold of residue_histogram
+    through _orbit_weights(k), which reads X_k and not the group.  It is
+    exact in int64 while (q - 2)(q - 3) |X_k| < 2^63, as the bins total
+    (q - 2)(q - 3) and no weight exceeds |X_k|; past that, SizeLimit."""
+    q = ctx.q
+    if (q - 2) * (q - 3) * xk_closed_form(k) >= 2 ** 63:
+        raise SizeLimit(f"the X_k fold overflows int64 at q={q}, k={k}")
     counts = residue_histogram(ctx, k) @ _orbit_weights(k)
     return CycInt.from_zeta_counts(k, counts.tolist()).as_integer()
 
@@ -487,12 +482,12 @@ def xk_orbit_sum(ctx: FieldContext, k: int) -> int:
 def K4_thm2(ctx: FieldContext, k: int) -> CliqueCountResult:
     validate_paley_params(k, ctx)
     q = ctx.q
+    xk_sum = xk_orbit_sum(ctx, k)             # first: its limits are checked
     R = R_k(ctx, k)
     S = S_k(ctx, k)
     bracket = (10 * R * R + 5 * (q - 2 * k ** 2 + 1) * R - 15 * S
                + q * q - 5 * (2 * k ** 2 - 3 * k + 2) * q
-               + 15 * k ** 3 - 10 * k ** 2 + 1
-               + xk_orbit_sum(ctx, k))
+               + 15 * k ** 3 - 10 * k ** 2 + 1 + xk_sum)
     count = _exact_div(q * (q - 1) * bracket, 24 * k ** 6, "K4 reduced bracket")
     return CliqueCountResult(k, q, 4, count, "thm2")
 
@@ -542,9 +537,10 @@ ROUTES = {
 
 def routes_for(k: int, m: int, q: int) -> list[str]:
     """The ROUTES methods for K_m(G_k(q)) that apply within their limits:
-    corollary for k = 2, 3, 4, thm1 for k <= HIST_K_CAP and naive for
-    q <= ORACLE_CAP[m]; the others have none."""
-    applies = {"corollary": k in (2, 3, 4), "thm1": k <= HIST_K_CAP,
+    corollary for k = 2, 3, 4, thm1 and thm2 for k^5 <= GRID_LIMIT (k <= 16)
+    and naive for q <= ORACLE_CAP[m]; the others have none."""
+    grid = k ** 5 <= GRID_LIMIT
+    applies = {"corollary": k in (2, 3, 4), "thm1": grid, "thm2": grid,
                "naive": q <= ORACLE_CAP[m]}
     return [method for order, method in ROUTES
             if order == m and applies.get(method, True)]

@@ -12,6 +12,8 @@ import importlib.util
 import os
 import sys
 
+import pytest
+
 from gpaley import orbits, paley_graph
 from gpaley.finite_field import build_field
 
@@ -83,3 +85,19 @@ def test_search_checks_reach_routes_by_module_attribute(monkeypatch):
     assert sorted(ctx.q for ctx, _ in thm2) == sorted(sample)
     assert sorted(g.q for g, _ in naive) == sorted(
         {q for q in rep.zero_qs + sample if q <= cap})
+
+
+@pytest.mark.parametrize("k", range(9, 13))
+def test_search_recounts_past_the_paper_by_both_theorems(monkeypatch, k):
+    import random
+
+    from gpaley.ramsey_search import admissible_q, search_zeros
+
+    thm1 = _count_calls(monkeypatch, paley_graph, "K4_thm1")
+    thm2 = _count_calls(monkeypatch, paley_graph, "K4_thm2")
+    rep = search_zeros(k, 4, 300)
+    qs = admissible_q(k, 300)
+    sample = random.Random(0).sample(qs, max(1, len(qs) // 10))
+    assert not rep.partial
+    assert sorted(ctx.q for ctx, _ in thm1) == sorted(sample)
+    assert sorted(ctx.q for ctx, _ in thm2) == sorted(sample)

@@ -28,7 +28,7 @@ def test_cliques_subcommand(capsys):
 
 
 def test_thm1_past_the_histogram_is_a_size_limit(capsys):
-    code, out, err = run_cli(capsys, "cliques", "--q", "19", "--k", "9", "--m", "4",
+    code, out, err = run_cli(capsys, "cliques", "--q", "103", "--k", "17", "--m", "4",
                              "--method", "thm1")
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "SizeLimit"

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from gpaley.errors import InvalidCongruence, NonIntegerResult, SizeLimit
 from gpaley.finite_field import (DEFAULT_SIZE_LIMIT, build_field,
                                  paley_congruence, row_blocks,
                                  split_prime_power)
-from gpaley.hypergeometric import (HIST_K_CAP, _coef_vector, f32_scaled,
-                                   residue_histogram)
+from gpaley.hypergeometric import _coef_vector, f32_scaled, residue_histogram
 from gpaley.jacobi import EISENSTEIN, solve_quadform
 from gpaley.orbits import orbit_decompose, xk_closed_form
 from gpaley.paley_graph import (CliqueCountResult, K3_closed, K3_corollary,
@@ -214,8 +214,8 @@ def test_k4_thm1_past_the_grid_range():
     count = K4_thm1(ctx, 2).count
     assert count == K4_thm2(ctx, 2).count == 197965
     assert count == K4_subgraph_method(build_graph(ctx, 2)).count
-    with pytest.raises(SizeLimit):                 # 9^5 histogram bins
-        K4_thm1(get_field(19), 9)
+    with pytest.raises(SizeLimit):                 # 17^5 histogram bins
+        K4_thm1(get_field(103), 17)
 
 
 def test_k4_thm2_paper_cases():
@@ -230,9 +230,10 @@ def test_k4_thm2_matches_thm1_at_k5():
     assert brute_force_K(build_graph(ctx, 5), 4).count == thm1
 
 
-# (k, q): admissible fields for k = 2..6, and the smallest for k = 7, 8
+# (k, q): admissible fields for k = 2..6, and the smallest for k = 7..10, 12
 ORBIT_SUM_FIELDS = [(2, (13, 17, 29)), (3, (13, 19, 31)), (4, (17, 41)),
-                    (5, (11, 31)), (6, (13, 37)), (7, (29,)), (8, (17,))]
+                    (5, (11, 31)), (6, (13, 37)), (7, (29,)), (8, (17,)),
+                    (9, (19,)), (10, (41,)), (12, (25,))]
 
 
 def test_xk_orbit_sum_matches_the_direct_pass_per_orbit():
@@ -267,7 +268,7 @@ def _rep_size_weights(k):
 def test_xk_weight_table_folds_to_the_orbit_sum_to_600():
     """The X_k table and the reps x sizes table are different tables, but
     the 3F2 values are constant on orbits, so the folds agree."""
-    for k in range(2, HIST_K_CAP + 1):
+    for k in range(2, 9):
         oracle = _rep_size_weights(k)
         for q in admissible_q(k, 600):
             counts = residue_histogram(get_field(q), k) @ oracle
@@ -279,32 +280,61 @@ def test_k4_thm2_reads_neither_the_group_nor_the_orbits(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the group was read")
 
-    for module in (orbits, paley_graph):
-        monkeypatch.setattr(module, "orbit_decompose", refused)
+    assert not hasattr(paley_graph, "orbit_decompose")
+    monkeypatch.setattr(orbits, "orbit_decompose", refused)
     monkeypatch.setattr(orbits, "generate_group", refused)
     _orbit_weights.cache_clear()
-    for k in range(2, HIST_K_CAP + 1):
+    for k in range(2, 13):
         for q in admissible_q(k, 300)[:3]:
             ctx = build_field(*split_prime_power(q))
             assert K4_thm2(ctx, k).count == K4_subgraph_method(build_graph(ctx, k)).count, (k, q)
 
 
 def test_orbit_weight_rows_sum_to_the_size_of_xk():
-    for k in range(2, HIST_K_CAP + 1):
+    for k in range(2, 9):
         weights = _orbit_weights(k)
         assert weights.shape == (k ** 5, k) and weights.dtype == np.int64
         assert np.all(weights.sum(axis=1) == xk_closed_form(k)), k
 
 
-def test_orbit_sum_products_stay_inside_int64():
-    """hist @ W is exact in int64: the bins total (q - 2)(q - 3) < 2^48 for
-    every q up to DEFAULT_SIZE_LIMIT, and no weight exceeds |X_k| < k^5 <=
-    2^15 for k <= HIST_K_CAP."""
-    q = DEFAULT_SIZE_LIMIT
-    assert (q - 2) * (q - 3) < 2 ** 48
-    for k in range(2, HIST_K_CAP + 1):
-        assert int(_orbit_weights(k).max()) <= xk_closed_form(k) < k ** 5 <= 2 ** 15
-    assert (q - 2) * (q - 3) * xk_closed_form(HIST_K_CAP) < 2 ** 63
+# first q whose X_k fold could overflow int64, by k
+FIRST_REFUSED_Q = {8: 31947197, 9: 22168480, 10: 16085008, 12: 9350110, 16: 4085726}
+
+
+def test_orbit_sum_products_stay_inside_int64(monkeypatch):
+    """hist @ W is exact in int64 while (q - 2)(q - 3) |X_k| < 2^63: the
+    bins total (q - 2)(q - 3) and no weight exceeds |X_k|.  For every k the
+    grid allows, xk_orbit_sum reads the histogram at the last q inside
+    that bound and raises SizeLimit at the next one, before the read."""
+    def reached(ctx, k):
+        raise LookupError("the histogram was read")
+
+    monkeypatch.setattr(paley_graph, "residue_histogram", reached)
+    for k in range(2, 17):
+        size = xk_closed_form(k)
+        q = math.isqrt(2 ** 63 // size) + 3
+        while (q - 2) * (q - 3) * size >= 2 ** 63:
+            q -= 1
+        assert q + 1 == FIRST_REFUSED_Q.get(k, q + 1), k
+        with pytest.raises(LookupError):
+            xk_orbit_sum(types.SimpleNamespace(q=q), k)
+        with pytest.raises(SizeLimit):
+            xk_orbit_sum(types.SimpleNamespace(q=q + 1), k)
+    assert FIRST_REFUSED_Q[12] < DEFAULT_SIZE_LIMIT
+    for k in range(2, 9):
+        assert int(_orbit_weights(k).max()) <= xk_closed_form(k)
+
+
+def test_k4_thm2_refuses_an_overflowing_fold_before_any_work(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("work done before the int64 bound was checked")
+
+    for name in ("residue_histogram", "R_k", "S_k"):
+        monkeypatch.setattr(paley_graph, name, refused)
+    ctx = build_field(4085761, 1)          # past FIRST_REFUSED_Q[16]
+    with pytest.raises(SizeLimit):
+        K4_thm2(ctx, 16)
+    assert ("f32hist", 16) not in ctx._caches
 
 
 def test_k4_thm2_reads_one_weight_table_and_no_indexed_3f2(monkeypatch):
@@ -355,12 +385,12 @@ def test_clique_count_dispatch():
         clique_count(ctx, 2, 5)
 
 
-@pytest.mark.parametrize("k", range(2, 10))
+@pytest.mark.parametrize("k", [*range(2, 10), 16, 17])
 def test_routes_for_limits(k):
-    thm1 = ["thm1"] if k <= 8 else []
+    thm = ["thm2", "thm1"] if k <= 16 else []
     corollary = ["corollary"] if k <= 4 else []
-    assert routes_for(k, 4, 300) == ["subgraph", "thm2", *thm1, *corollary, "naive"]
-    assert routes_for(k, 4, 301) == ["subgraph", "thm2", *thm1, *corollary]
+    assert routes_for(k, 4, 300) == ["subgraph", *thm, *corollary, "naive"]
+    assert routes_for(k, 4, 301) == ["subgraph", *thm, *corollary]
     assert routes_for(k, 3, 1000) == ["thm", "subgraph", *corollary, "naive"]
     assert routes_for(k, 3, 1001) == ["thm", "subgraph", *corollary]
 

@@ -60,9 +60,16 @@ def test_search_k4_m3():
 
 
 def test_search_past_the_histogram_cross_checks_by_thm2():
-    # k = 9 has no residue histogram, so the sample is checked by thm2 alone
+    # k = 9 is past the paper's range; its sample is recounted by thm2 and thm1
     rep = search_zeros(9, 4, 200)
     assert rep.zero_qs == [19, 37, 73, 109, 127, 163, 181]
+
+
+def test_search_past_the_grid_is_not_partial():
+    # k = 17 is past the (Z_k)^5 grid cap: no thm route, subgraph and naive only
+    rep = search_zeros(17, 4, 700)
+    assert not rep.partial and rep.error is None
+    assert [r.q for r in rep.records] == admissible_q(17, 700)
 
 
 def test_search_empty_range():
