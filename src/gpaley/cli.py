@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="identity and acceptance suites")
     v.add_argument("--paper", action="store_true",
-                   help="full reproduction including searches (a few seconds)")
+                   help="full reproduction including searches (about 1 s)")
     v.set_defaults(func=cmd_verify)
 
     # each subcommand takes only the shared options its handler reads
@@ -191,8 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
     for p in (finfo, j, h, c):
         p.add_argument("--field-cap", type=int, default=DEFAULT_SIZE_LIMIT)
+    r.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: one per available CPU; "
+                        "1 runs the checks in this process)")
     for p in (r, v):
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=746)
     return top
 

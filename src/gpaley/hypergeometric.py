@@ -290,11 +290,19 @@ def _coef_vector(k: int, t) -> np.ndarray:
 
 
 def _hist_value(ctx: FieldContext, k: int, t) -> CycInt:
+    """Fold the k^5 histogram bins x by the exponent <x, c(t)> mod k.
+
+    The bins are rows (x1, x2, x3) by columns (x4, x5), so the exponent of
+    every bin is one broadcast sum of a k^3 and a k^2 dot product, not a
+    k^5-row one.  It stays unreduced (at most 5 (k - 1)^2) until the
+    exact int64 scatter-add has run."""
     hist = residue_histogram(ctx, k)
-    e = (_index_vectors(k) @ _coef_vector(k, t)) % k
-    counts = np.zeros(k, dtype=np.int64)
-    np.add.at(counts, e, hist)                 # exact int64 scatter-add
-    return CycInt.from_zeta_counts(k, counts.tolist())
+    c = _coef_vector(k, t)
+    grid = _index_vectors(k)
+    e = (grid[::k * k, :3] @ c[:3])[:, None] + grid[:k * k, 3:] @ c[3:]
+    counts = np.zeros(5 * k * k, dtype=np.int64)
+    np.add.at(counts, e.ravel(), hist)
+    return CycInt.from_zeta_counts(k, counts.reshape(-1, k).sum(axis=0).tolist())
 
 
 def f32_indexed(ctx: FieldContext, k: int, t, lam: int | None = None) -> CycInt:

@@ -176,6 +176,8 @@ def search_zeros(k: int, m: int, q_max: int, *, jobs: int = 1,
     """
     if m not in (3, 4):
         raise ValueError("clique order must be 3 or 4")
+    if jobs < 1:
+        raise ValueError(f"jobs={jobs} must be at least 1")
     if k < 2:
         raise InvalidCongruence(f"k={k} must be at least 2")
     qs = admissible_q(k, q_max)

@@ -8,8 +8,12 @@ seed and are deterministic given one.
 
 from __future__ import annotations
 
+import os
 import random
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -41,9 +45,11 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0    # run_suite: the check's time, in the process that ran it
 
     def line(self) -> str:
-        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
+        return (f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
+                f" ({self.seconds:.3f} s)")
 
 
 def field_for(q: int, alt: bool = False):
@@ -528,29 +534,104 @@ def check_determinism(jobs: int = 2) -> CheckResult:
 # suite runners
 # ---------------------------------------------------------------------------
 
-def run_suite(profile: str = "quick", jobs: int = 1,
-              seed: int = IDENTITY_SEED) -> list[CheckResult]:
+def _suite_calls(profile: str, jobs: int, seed: int) -> list[partial]:
+    """The profile's check calls, in output order."""
     quick = profile == "quick"
-    results = [
-        check_cross_method_equality(q_limit=100) if quick
-        else check_cross_method_equality(),
-        check_paper_zeros(),
-        check_section6_values(),
-        check_tables_and_burnside(k_enum_max=8 if quick else 12),
-    ]
-    results += check_jacobi_props(seed, cases=40 if quick else 100)
-    results += [
-        check_aggregate_identities(q_limit=100 if quick else 200),
-        check_quadform_lemmas(q_limit=100 if quick else 500),
-        check_reductions(seed, cases=30 if quick else 100),
-        check_transformations(seed, cases=30 if quick else 100),
-        check_orbit_invariance(seed, min_cases=50 if quick else 100),
-        check_exact_vs_numeric(seed),
-        check_subgraph_props(q_limit=41 if quick else 61, f21_grid=not quick),
-        check_clique_recursions(q_limit=61 if quick else 200),
-        check_strong_regularity(q_limit=61 if quick else 101),
+    calls = [
+        partial(check_cross_method_equality, q_limit=100 if quick else 200),
+        partial(check_paper_zeros),
+        partial(check_section6_values),
+        partial(check_tables_and_burnside, k_enum_max=8 if quick else 12),
+        partial(check_jacobi_props, seed, cases=40 if quick else 100),
+        partial(check_aggregate_identities, q_limit=100 if quick else 200),
+        partial(check_quadform_lemmas, q_limit=100 if quick else 500),
+        partial(check_reductions, seed, cases=30 if quick else 100),
+        partial(check_transformations, seed, cases=30 if quick else 100),
+        partial(check_orbit_invariance, seed, min_cases=50 if quick else 100),
+        partial(check_exact_vs_numeric, seed),
+        partial(check_subgraph_props, q_limit=41 if quick else 61, f21_grid=not quick),
+        partial(check_clique_recursions, q_limit=61 if quick else 200),
+        partial(check_strong_regularity, q_limit=61 if quick else 101),
     ]
     if not quick:
-        results.append(check_ramsey_bounds(jobs=max(jobs, 1)))
-        results.append(check_determinism(jobs=max(jobs, 2)))
+        calls += [partial(check_ramsey_bounds),
+                  partial(check_determinism, jobs=max(jobs, 2))]
+    return calls
+
+
+def _suite_tasks(profile: str, jobs: int, seed: int) -> list[tuple[int, ...]]:
+    """run_suite's worker tasks, heaviest first.  A task is a tuple of
+    positions in _suite_calls' list, run in that order by one process.
+
+    The clique recursions read the naive counts that the cross-method check
+    leaves in field_for's contexts (175 ms cold, 22 ms after it), so the two
+    share a task.  The order follows each task's cold in-process time on
+    the paper profile, in ms on a 2-core VM: 222, 208, 137, 115, 103, 92,
+    87, 66, 36, 14, 12, 11, 6, then the two checks under 1 ms.  A call the
+    order does not name gets a task of its own at the end.
+    """
+    heaviest_first = (
+        ("check_cross_method_equality", "check_clique_recursions"),
+        ("check_tables_and_burnside",), ("check_ramsey_bounds",),
+        ("check_exact_vs_numeric",), ("check_subgraph_props",),
+        ("check_reductions",), ("check_transformations",),
+        ("check_determinism",), ("check_aggregate_identities",),
+        ("check_orbit_invariance",), ("check_quadform_lemmas",),
+        ("check_jacobi_props",), ("check_strong_regularity",),
+        ("check_section6_values", "check_paper_zeros"),
+    )
+    rank = {name: i for i, group in enumerate(heaviest_first) for name in group}
+    tasks: dict[int, tuple[int, ...]] = {}
+    for pos, call in enumerate(_suite_calls(profile, jobs, seed)):
+        key = rank.get(call.func.__name__, len(heaviest_first) + pos)
+        tasks[key] = tasks.get(key, ()) + (pos,)
+    return [tasks[key] for key in sorted(tasks)]
+
+
+def _timed(call: partial) -> list[CheckResult]:
+    """Run one check call in this process; a call that returns several
+    results splits its time evenly among them."""
+    t0 = time.perf_counter()
+    out = call()
+    seconds = time.perf_counter() - t0
+    results = out if isinstance(out, list) else [out]
+    for res in results:
+        res.seconds = seconds / len(results)
     return results
+
+
+def _run_task(profile: str, jobs: int, seed: int,
+              task: tuple[int, ...]) -> list[tuple[int, list[CheckResult]]]:
+    calls = _suite_calls(profile, jobs, seed)
+    return [(pos, _timed(calls[pos])) for pos in task]
+
+
+def run_suite(profile: str = "quick", jobs: int | None = None,
+              seed: int = IDENTITY_SEED) -> list[CheckResult]:
+    """Every check of the profile ("quick" or "paper"), in one fixed order.
+
+    jobs=None means one worker per CPU this process may run on.  With
+    jobs=1 the checks run here, one after another, where a tracer in this
+    process sees them.  With jobs > 1 the tasks of _suite_tasks run in a
+    process pool (the default start method, as search_zeros uses).  Either
+    way check_ramsey_bounds runs its ten searches serially, and only
+    check_determinism opens a pool of its own, to compare a serial search
+    with a max(jobs, 2)-process one.  The results come back in the same
+    order either way, each with the seconds its check took in the process
+    that ran it.  If a check raises, the pending tasks are cancelled, the
+    workers are joined, and the exception propagates.
+    """
+    if jobs is None:
+        jobs = len(os.sched_getaffinity(0))
+    if jobs < 1:
+        raise ValueError(f"jobs={jobs} must be at least 1")
+    if jobs == 1:
+        return [res for call in _suite_calls(profile, jobs, seed) for res in _timed(call)]
+    tasks = _suite_tasks(profile, jobs, seed)
+    pool = ProcessPoolExecutor(min(jobs, len(tasks)))
+    try:
+        futures = [pool.submit(_run_task, profile, jobs, seed, task) for task in tasks]
+        by_position = dict(pair for fut in futures for pair in fut.result())
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [res for pos in sorted(by_position) for res in by_position[pos]]

@@ -168,6 +168,22 @@ def test_verify_wiring(monkeypatch, capsys):
     assert "[FAIL] stub" in out
 
 
+def test_verify_jobs_default_to_the_available_cpus_and_ramsey_to_one():
+    parser = cli.build_parser()
+    assert parser.parse_args(["verify"]).jobs is None
+    assert parser.parse_args(["ramsey", "--k", "2", "--m", "3", "--qmax", "20"]).jobs == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--jobs", "0"),
+    ("ramsey", "--k", "2", "--m", "3", "--qmax", "20", "--jobs", "-3"),
+])
+def test_jobs_below_one_is_a_json_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_cache_env_default(monkeypatch, tmp_path, capsys):
     path = tmp_path / "env_cache.jsonl"
     monkeypatch.setenv("GPALEY_CACHE", str(path))

@@ -154,6 +154,23 @@ def test_histogram_values_match_the_direct_pass_at_large_q(q):
                                                     conductor=6), (q, t)
 
 
+@pytest.mark.parametrize("q, k, n_t", [(61, 3, None), (457, 4, None),
+                                       (61, 6, 300), (97, 8, 60)])
+def test_histogram_fold_matches_the_per_bin_exponents(q, k, n_t):
+    """The fold equals counting each bin at its own exponent <x, c> mod k,
+    for every t (k = 3, 4) or a seeded sample of them (k = 6, 8)."""
+    ctx = get_field(q)
+    hist = residue_histogram(ctx, k)
+    grid = hypergeometric._index_vectors(k)
+    ts = [tuple(int(v) for v in t) for t in grid]
+    if n_t is not None:
+        ts = random.Random(q * k).sample(ts, n_t)
+    for t in ts:
+        counts = np.zeros(k, dtype=np.int64)
+        np.add.at(counts, (grid @ hypergeometric._coef_vector(k, t)) % k, hist)
+        assert f32_indexed(ctx, k, t) == CycInt.from_zeta_counts(k, counts.tolist()), t
+
+
 # digest of the histograms whose class sums were contracted by one real
 # einsum per block, over every admissible (q, k), q <= 3000, k <= 8
 HISTOGRAM_DIGEST = (948, "de00b56a6cd096b4376d8b4c1acce258"

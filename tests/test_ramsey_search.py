@@ -269,3 +269,9 @@ def test_cache_hits_build_only_the_checked_q(monkeypatch, tmp_path):
     sample = random.Random(0).sample(eligible, len(eligible) // 10)
     zeros = [q for q in first.zero_qs if q <= ORACLE_CAP[4]]
     assert calls == sorted(set(sample) | set(zeros))
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_a_value_error(jobs):
+    with pytest.raises(ValueError, match="at least 1"):
+        search_zeros(2, 3, 30, jobs=jobs)
