@@ -4,11 +4,16 @@ A character is just its exponent multiplier m against the fixed primitive
 element: chi(omega^j) = zeta_(q-1)^(m*j).  Values come back as exact
 CycInts in the smallest conductor containing the character's order (or any
 requested multiple of it); chi(-1) = +-1 is read off the parity of m.
+
+MultChar is an immutable two-slot value, equal and hashed by its field's
+identity and m mod q - 1.  The identity sweeps build tens of thousands of
+them, one per product or conjugate, so construction is one reduction and
+two slot stores, past the __setattr__ that refuses every later write;
+pickling goes through the constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .cyclotomic import CycInt, zeta_pow
@@ -16,13 +21,34 @@ from .errors import OrderNotDividing, ZeroInput
 from .finite_field import FieldContext
 
 
-@dataclass(frozen=True)
 class MultChar:
-    ctx: FieldContext
-    m: int
+    """The character chi(omega^j) = zeta_(q-1)^(m j) of F_q*, m mod q - 1."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", self.m % (self.ctx.q - 1))
+    __slots__ = ("ctx", "m")
+
+    def __init__(self, ctx: FieldContext, m: int):
+        _set_ctx(self, ctx)
+        _set_m(self, m % (ctx.q - 1))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MultChar is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"MultChar is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return MultChar, (self.ctx, self.m)
+
+    def __eq__(self, other):
+        if not isinstance(other, MultChar):
+            return NotImplemented
+        return self.ctx is other.ctx and self.m == other.m
+
+    def __hash__(self):
+        return hash((self.ctx, self.m))
+
+    def __repr__(self):
+        return f"MultChar(ctx={self.ctx!r}, m={self.m!r})"
 
     @property
     def order(self) -> int:
@@ -45,7 +71,8 @@ class MultChar:
     def exponent_in(self, conductor: int) -> int:
         """x with chi = (canonical order-conductor character)^x."""
         qm1 = self.ctx.q - 1
-        if qm1 % conductor != 0 or conductor % self.order != 0:
+        # the order qm1 / gcd(m, qm1) divides conductor iff qm1 | m conductor
+        if qm1 % conductor or self.m * conductor % qm1:
             raise OrderNotDividing(f"order {self.order} does not divide {conductor}")
         return (self.m * conductor) // qm1
 
@@ -61,6 +88,10 @@ class MultChar:
         """chi(-1) as a plain +-1 integer: (-1)^m for odd q, where
         -1 = omega^((q-1)/2), and 1 for even q, where -1 = 1."""
         return -1 if self.ctx.q % 2 and self.m % 2 else 1
+
+
+_set_ctx = MultChar.ctx.__set__     # the slots' own setters, which bypass
+_set_m = MultChar.m.__set__         # MultChar.__setattr__
 
 
 def same_ctx(chars) -> FieldContext:

@@ -6,6 +6,11 @@ coefficient comparison.  Every reduction (a character sum, a product, a
 conjugate, a lift) is one fold of zeta-exponent counts through the sparse
 rows of zeta^0 .. zeta^(k-1), from_zeta_counts.  Python integers make every
 operation exact at any size; the complex embedding is for diagnostics only.
+
+The public constructor checks that it is given phi(k) coefficients.  The
+results this module builds itself (a fold, a sum, a negation, an integer
+multiple) have that length by construction, so they skip the check through
+CycInt._unchecked: the identity sweeps make tens of thousands of them.
 """
 
 from __future__ import annotations
@@ -86,6 +91,14 @@ class CycInt:
         self.k = k
         self.coeffs = coeffs
 
+    @classmethod
+    def _unchecked(cls, k: int, coeffs: tuple) -> CycInt:
+        """A CycInt from a tuple already known to hold phi(k) coefficients."""
+        out = object.__new__(cls)
+        out.k = k
+        out.coeffs = coeffs
+        return out
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -110,7 +123,7 @@ class CycInt:
             if c:
                 for j, coeff in rows[e % k]:
                     acc[j] += c * coeff
-        return cls(k, acc)
+        return cls._unchecked(k, tuple(acc))
 
     # -- ring operations ------------------------------------------------------
 
@@ -122,12 +135,12 @@ class CycInt:
         if isinstance(other, int):
             other = CycInt.integer(self.k, other)
         self._check(other)
-        return CycInt(self.k, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycInt._unchecked(self.k, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycInt(self.k, tuple(-a for a in self.coeffs))
+        return CycInt._unchecked(self.k, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -137,7 +150,7 @@ class CycInt:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycInt(self.k, tuple(a * other for a in self.coeffs))
+            return CycInt._unchecked(self.k, tuple(a * other for a in self.coeffs))
         self._check(other)
         terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         counts = [0] * (2 * len(self.coeffs) - 1)      # counts[i + j]: zeta^(i + j)

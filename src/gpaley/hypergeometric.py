@@ -49,6 +49,7 @@ from .jacobi import binom_symbol_scaled
 from .orbits import GRID_LIMIT
 
 CONTRACTION_BLOCK = 1 << 16   # float64 cells of spectral products per block
+HIST_FOLD_K = 8               # f32_indexed folds an uncached histogram up to this k
 
 
 def _conductor(chars) -> int:
@@ -70,7 +71,8 @@ def f21_scaled(A: MultChar, B: MultChar, C: MultChar, lam: int,
     # b - lam = -lam (1 - b/lam); exponents are read mod c, which divides
     # q - 1, so ind(b - lam) = ind(-lam) + ind(1 - b/lam) needs no reduction
     l_lam = ctx.dlog(lam)
-    l_omb_lam = np.roll(l_omb, l_lam)          # ind(1 - b/lam)
+    split = len(l_omb) - l_lam                 # ind(1 - b/lam): L turned by l_lam
+    l_omb_lam = np.concatenate((l_omb[split:], l_omb[:split]))
     valid = (l_omb >= 0) & (l_omb_lam >= 0)
     l_bml = l_omb_lam + (l_lam + ctx.log_neg_one)
     e = (x1 * n + x2 * l_omb + x3 * l_bml)[valid] % c
@@ -113,7 +115,8 @@ def _window_bincount(row: np.ndarray, col: np.ndarray, lead: np.ndarray,
     by offset, so a cell costs two adds and a bincount; rows fill one reused
     int64 buffer of at most BLOCK_ELEMENTS cells."""
     n, width = len(col), len(lead)
-    rotated = windows(col[(np.arange(2 * n) + offset) % n], width)
+    d = offset % n
+    rotated = windows(np.concatenate((col[d:], col, col[:d])), width)
     rows = max(1, min(len(row), BLOCK_ELEMENTS // max(1, width)))
     buf = np.empty((rows, width), dtype=np.int64)
     counts = np.zeros(n_bins, dtype=np.int64)
@@ -307,8 +310,13 @@ def _hist_value(ctx: FieldContext, k: int, t) -> CycInt:
 
 def f32_indexed(ctx: FieldContext, k: int, t, lam: int | None = None) -> CycInt:
     """q^2 * 3F2 at the character powers chi_k^(t1..t5), lambda = 1 unless
-    given; a residue_histogram fold at lambda = 1 within its k cap."""
-    if (lam is None or lam == 1) and k ** 5 <= GRID_LIMIT:
+    given.  At lambda = 1 it is a residue_histogram fold for k <= HIST_FOLD_K,
+    and past that only when the histogram of (q, k) is already cached: one
+    value does not pay for k^5 bins (at q = 257, k = 16 the histogram took
+    275 ms and 161 MiB, the direct pass 1.2 ms and 31 MiB).  Otherwise it is
+    f32_scaled's direct windowed pass."""
+    if (lam is None or lam == 1) and k ** 5 <= GRID_LIMIT and (
+            k <= HIST_FOLD_K or ("f32hist", k) in ctx._caches):
         return _hist_value(ctx, k, t)
     chi = canonical_char(ctx, k)
     chars = [chi ** ti for ti in t]

@@ -3,8 +3,14 @@
 Every map is linear on (Z_k)^5 and is held as its 5x5 matrix mod k.  A
 linear map is fixed by the images of the unit vectors, so equal matrices
 mod k are equal maps, even when two words in the generators collide as
-functions for small k.  Orbits and fixed points are computed on one int16
-block of X_k per k, in one pass that applies each group element once.
+functions for small k.  Orbits and fixed points are computed on one
+C-contiguous int16 block of X_k per k, in one pass that applies each group
+element once through AffineMap.apply, the one block kernel: each output
+row is an int16 multiply-add of contiguous input rows, reduced mod k as
+x - x // k * k (numpy's floor divide by a scalar is far faster than its
+remainder on small ints), and the image columns are indexed by Horner in
+int32.  Entries are kept mod k, so a sum is at most 5 (k - 1)^2 <= 1125
+within GRID_LIMIT (k <= 16) and never leaves int16.
 The decomposition holds the orbits as a sort order of the block's
 columns and the cut points between orbits, plus each element's
 fixed-point count; the tuple-of-tuples form `.orbits` is built only when
@@ -52,11 +58,26 @@ class AffineMap:
     def apply(self, t):
         """Image of one tuple, or of every column of a (5, n) block.
 
-        A block keeps its dtype and is mapped by five exact multiply-add
-        passes, one per output coordinate, skipping zero entries."""
-        out = [sum(t[i] * c for i, c in enumerate(row) if c) % self.k
-               for row in self.matrix.tolist()]
-        return tuple(out) if isinstance(t, tuple) else np.stack(out)
+        A block keeps its dtype: each output row is a multiply-add of the
+        input rows at the row's nonzero entries, then the whole image is
+        reduced mod k as x - x // k * k, exact for the nonnegative sums of
+        entries in [0, k).  Those sums are at most 5 (k - 1)^2, so an int16
+        block holds them for every k <= 16; rows are read fastest from a
+        C-contiguous block, as _xk_block stores X_k."""
+        rows = self.matrix.tolist()
+        if isinstance(t, tuple):
+            return tuple(sum(t[i] * c for i, c in enumerate(row) if c) % self.k
+                         for row in rows)
+        out = np.zeros_like(t)
+        term = np.empty_like(t[0])
+        for acc, row in zip(out, rows):
+            for x, c in zip(t, row):
+                if c:
+                    acc += x if c == 1 else np.multiply(x, c, out=term)
+        quotient = out // self.k
+        quotient *= self.k
+        out -= quotient
+        return out
 
     def compose(self, other: AffineMap) -> AffineMap:
         """self after other (standard composition order)."""
@@ -140,8 +161,8 @@ def xk_closed_form(k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _xk_block(k: int) -> np.ndarray:
-    """X_k as the columns of a read-only (5, |X_k|) int16 block, in
-    lexicographic order."""
+    """X_k as the columns of a read-only, C-contiguous (5, |X_k|) int16
+    block, in lexicographic order."""
     if k < 2:
         raise ValueError(f"the orbit layer needs k >= 2, got k={k}")
     if k ** 5 > GRID_LIMIT:
@@ -151,7 +172,7 @@ def _xk_block(k: int) -> np.ndarray:
     keep = (t[0] + t[1] + t[2] - t[3] - t[4]) % k != 0
     for x in t[:3]:
         keep &= (x != 0) & (x != t[3]) & (x != t[4])
-    block = t[:, keep]
+    block = np.ascontiguousarray(t[:, keep])
     assert block.shape[1] == xk_closed_form(k)
     block.flags.writeable = False
     return block
@@ -196,6 +217,16 @@ class OrbitDecomposition:
         return tuple(tuple(vectors[a:b]) for a, b in zip(ends, ends[1:]))
 
 
+def _grid_index(block: np.ndarray, k: int) -> np.ndarray:
+    """Each column's place in (Z_k)^5's lexicographic order, by Horner in
+    int32 (k^5 <= GRID_LIMIT)."""
+    index = block[0].astype(np.int32)
+    for row in block[1:]:
+        index *= k
+        index += row
+    return index
+
+
 @lru_cache(maxsize=None)
 def orbit_decompose(k: int) -> OrbitDecomposition:
     """Orbits of the group on X_k.  A vector's representative is its
@@ -204,16 +235,16 @@ def orbit_decompose(k: int) -> OrbitDecomposition:
     same pass counts each element's fixed points: the vectors whose image
     index equals their own."""
     group = generate_group(k)
-    block, shape = _xk_block(k), (k,) * 5
-    index = np.ravel_multi_index(block, shape)
+    block = _xk_block(k)
+    index = _grid_index(block, k)
     in_x = np.zeros(k ** 5, dtype=bool)
     in_x[index] = True
-    rep, fixed_points = index, {}
+    rep, fixed_points = index.copy(), {}
     for g in group:
-        image = np.ravel_multi_index(g.apply(block), shape)
+        image = _grid_index(g.apply(block), k)
         assert in_x[image].all(), "group does not preserve X_k"
-        fixed_points[g.key()] = int((image == index).sum())
-        rep = np.minimum(rep, image)
+        fixed_points[g.key()] = int(np.count_nonzero(image == index))
+        np.minimum(rep, image, out=rep)
     order = np.argsort(rep, kind="stable")
     cuts = np.flatnonzero(np.diff(rep[order])) + 1
     bounds = np.concatenate(([0], cuts, [len(order)]))

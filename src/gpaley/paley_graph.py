@@ -3,7 +3,8 @@
 The K4 routes and the kernels they read:
 
   naive      count_cliques over the packed uint64 rows of adjacency_rows
-             (a gather of the field's difference table L): popcounts of
+             (a gather of the field's difference table L, made once per
+             (ctx, k) for the K3 and K4 counts alike): popcounts of
              ANDs of upper-triangle rows over edges (K3) and triangles
              (K4), in blocks of at most BLOCK_ELEMENTS bytes; the oracle,
              for q <= ORACLE_CAP[m].
@@ -208,12 +209,15 @@ def count_cliques(rows: np.ndarray, m: int) -> int:
         return int(row_popcounts(up).sum())
     count = 0
     for u, v in _set_bits(up):
-        common = up[u] & up[v]
+        common = up[u]                         # gathers are fresh: AND in place
+        common &= up[v]
         if m == 3:
-            count += int(row_popcounts(common).sum())
+            count += int(_bitwise_count(common).sum())
         else:
             for e, w in _set_bits(common):
-                count += int(row_popcounts(common[e] & up[w]).sum())
+                tri = common[e]
+                tri &= up[w]
+                count += int(_bitwise_count(tri).sum())
     return count
 
 
@@ -221,9 +225,12 @@ def brute_force_K(g: PaleyGraph, m: int, cap: int | None = None) -> CliqueCountR
     limit = cap if cap is not None else ORACLE_CAP.get(m, ORACLE_CAP[4])
     if g.q > limit:
         raise SizeLimit(f"naive oracle capped at q={limit}, got {g.q}")
-    key = ("naive", g.k, m)
+    key, rows_key = ("naive", g.k, m), ("adjacency rows", g.k)
     if key not in g.ctx._caches:
-        g.ctx._caches[key] = count_cliques(adjacency_rows(g), m)
+        # one build serves K3 and K4: at most 125 KiB within ORACLE_CAP[3]
+        if rows_key not in g.ctx._caches:
+            g.ctx._caches[rows_key] = adjacency_rows(g)
+        g.ctx._caches[key] = count_cliques(g.ctx._caches[rows_key], m)
     return CliqueCountResult(g.k, g.q, m, g.ctx._caches[key], "naive")
 
 

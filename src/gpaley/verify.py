@@ -564,16 +564,17 @@ def _suite_tasks(profile: str, jobs: int, seed: int) -> list[tuple[int, ...]]:
     positions in _suite_calls' list, run in that order by one process.
 
     The clique recursions read the naive counts that the cross-method check
-    leaves in field_for's contexts (175 ms cold, 22 ms after it), so the two
-    share a task.  The order follows each task's cold in-process time on
-    the paper profile, in ms on a 2-core VM: 222, 208, 137, 115, 103, 92,
-    87, 66, 36, 14, 12, 11, 6, then the two checks under 1 ms.  A call the
-    order does not name gets a task of its own at the end.
+    leaves in field_for's contexts (about 175 ms cold, 22 ms after it), so
+    the two share a task.  The order follows each task's cold in-process
+    time on the paper profile, the median of four runs, each task in a
+    fresh interpreter, in ms on a 2-core VM: 193, 155, 131, 96, 87, 81,
+    78, 75, 56, 25, 18, 13, 10, then the two checks near 4 ms together.
+    A call the order does not name gets a task of its own at the end.
     """
     heaviest_first = (
         ("check_cross_method_equality", "check_clique_recursions"),
-        ("check_tables_and_burnside",), ("check_ramsey_bounds",),
-        ("check_exact_vs_numeric",), ("check_subgraph_props",),
+        ("check_ramsey_bounds",), ("check_exact_vs_numeric",),
+        ("check_tables_and_burnside",), ("check_subgraph_props",),
         ("check_reductions",), ("check_transformations",),
         ("check_determinism",), ("check_aggregate_identities",),
         ("check_orbit_invariance",), ("check_quadform_lemmas",),

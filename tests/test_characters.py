@@ -1,11 +1,13 @@
 """Multiplicative character values, orders, and orthogonality."""
 
+import pickle
+
 import pytest
 
 from gpaley.characters import MultChar, canonical_char, orthogonality_sum, trivial_char
 from gpaley.cyclotomic import CycInt, zeta_pow
 from gpaley.errors import OrderNotDividing, ZeroInput
-from gpaley.finite_field import is_kth_power
+from gpaley.finite_field import build_field, is_kth_power
 from gpaley.jacobi import cyclotomic_numbers
 from helpers import get_field, paley_pairs
 
@@ -120,3 +122,49 @@ def test_orthogonality_matches_kth_power_query():
             for b in range(1, q):
                 expect = 1 if is_kth_power(ctx, b, k) else 0
                 assert orthogonality_sum(ctx, k, b) == expect
+
+
+def test_equal_exponents_mod_q_minus_one_are_equal_characters():
+    ctx = get_field(13)
+    for m in (0, 1, 5, 11):
+        a, b = MultChar(ctx, m), MultChar(ctx, m + 12)
+        assert a == b and hash(a) == hash(b) and b.m == m
+        assert MultChar(ctx, m - 12) == a
+    assert MultChar(ctx, -1).m == 11
+    assert MultChar(ctx, 1) != MultChar(ctx, 2)
+    assert MultChar(ctx, 1) != 1
+    assert len({MultChar(ctx, m) for m in range(36)}) == 12
+
+
+def test_characters_over_different_fields_are_unequal_and_do_not_multiply():
+    ctx13 = get_field(13)
+    for other in (get_field(17), build_field(13, 1)):    # a second GF(13) too
+        assert other is not ctx13
+        assert MultChar(ctx13, 1) != MultChar(other, 1)
+        with pytest.raises(ValueError, match="different fields"):
+            MultChar(ctx13, 1) * MultChar(other, 1)
+
+
+def test_characters_are_immutable():
+    chi = MultChar(get_field(13), 1)
+    for name, value in (("m", 2), ("ctx", get_field(17)), ("order", 3)):
+        with pytest.raises(AttributeError):
+            setattr(chi, name, value)
+    with pytest.raises(AttributeError):
+        del chi.m
+    assert chi.m == 1 and chi.ctx is get_field(13)
+
+
+def test_characters_pickle_with_their_field():
+    ctx = get_field(13)
+    chi = canonical_char(ctx, 4)
+    ctx2, chi2, psi2 = pickle.loads(pickle.dumps((ctx, chi, chi ** 3)))
+    assert chi2.ctx is ctx2 and psi2.ctx is ctx2
+    assert (chi2.m, psi2.m) == (chi.m, (chi ** 3).m)
+    assert chi2 * psi2 == MultChar(ctx2, 0)
+    assert [chi2.eval(a) for a in range(13)] == [chi.eval(a) for a in range(13)]
+
+
+def test_repr_names_the_field_and_exponent():
+    ctx = get_field(13)
+    assert repr(MultChar(ctx, 15)) == f"MultChar(ctx={ctx!r}, m=3)"

@@ -119,6 +119,13 @@ def test_lift_to_larger_conductor():
             assert (a + b).to_conductor(big) == a.to_conductor(big) + b.to_conductor(big)
 
 
+def test_the_constructor_rejects_a_wrong_coefficient_count():
+    for k, n in ((4, 1), (4, 3), (5, 5), (12, 3), (1, 0)):
+        with pytest.raises(ValueError, match="coefficients"):
+            CycInt(k, [1] * n)
+    assert CycInt(12, [1, 0, 2, 0]).coeffs == (1, 0, 2, 0)
+
+
 def test_from_zeta_counts():
     counts = [5, 0, 2, 1]
     expected = (CycInt.integer(4, 5) + 2 * zeta_pow(4, 2) + zeta_pow(4, 3))

@@ -171,6 +171,30 @@ def test_histogram_fold_matches_the_per_bin_exponents(q, k, n_t):
         assert f32_indexed(ctx, k, t) == CycInt.from_zeta_counts(k, counts.tolist()), t
 
 
+def test_past_the_fold_cap_a_value_builds_no_histogram(monkeypatch):
+    """At k = 16 > HIST_FOLD_K a lambda = 1 value takes the direct pass and
+    caches no histogram; once the histogram is cached, the same values come
+    from its fold (the direct pass patched to raise)."""
+    assert hypergeometric.HIST_FOLD_K < 16
+    ctx = build_field(97, 1)
+    rng = random.Random(16)
+    ts = [tuple(rng.randrange(16) for _ in range(5)) for _ in range(4)]
+    direct = [f32_indexed(ctx, 16, t) for t in ts]
+    assert ("f32hist", 16) not in ctx._caches
+    try:
+        residue_histogram(ctx, 16)
+
+        def no_direct_pass(*args, **kwargs):
+            raise AssertionError("the direct pass ran with the histogram cached")
+
+        monkeypatch.setattr(hypergeometric, "f32_scaled", no_direct_pass)
+        assert [f32_indexed(ctx, 16, t) for t in ts] == direct
+    finally:
+        for table in (hypergeometric._index_vectors, hypergeometric._relabel_index,
+                      hypergeometric._swap_index):
+            table.cache_clear()             # k = 16's tables hold about 56 MiB
+
+
 # digest of the histograms whose class sums were contracted by one real
 # einsum per block, over every admissible (q, k), q <= 3000, k <= 8
 HISTOGRAM_DIGEST = (948, "de00b56a6cd096b4376d8b4c1acce258"

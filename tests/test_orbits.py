@@ -1,5 +1,6 @@
 """X_k, the transformation group, orbits, and Burnside agreement."""
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -162,7 +163,7 @@ def test_orbits_match_generator_closure(k):
 
 def test_generator_matrices_match_recipes():
     rng = random.Random(7)
-    for k in (2, 3, 5, 8, 12):
+    for k in (2, 3, 5, 8, 12, 16):
         vectors = [tuple(rng.randrange(k) for _ in range(5)) for _ in range(40)]
         block = np.array(vectors, dtype=np.int16).T
         for name, recipe in _GEN_COLUMNS.items():
@@ -170,6 +171,55 @@ def test_generator_matrices_match_recipes():
             expected = [tuple(x % k for x in recipe(t)) for t in vectors]
             assert [g.apply(t) for t in vectors] == expected, (k, name)
             assert list(zip(*g.apply(block).tolist())) == expected, (k, name)
+
+
+@pytest.mark.parametrize("k", (2, 3, 5, 8, 12, 16))
+def test_every_group_element_maps_a_block_as_it_maps_tuples(k):
+    """The int16 block kernel against the tuple path for all of the group,
+    on random vectors plus the all-(k - 1) vector, whose image sums reach
+    5 (k - 1)^2, the kernel's largest (1125 at k = 16, the GRID_LIMIT edge)."""
+    rng = random.Random(k)
+    vectors = [(k - 1,) * 5] + [tuple(rng.randrange(k) for _ in range(5))
+                                for _ in range(60)]
+    block = np.array(vectors, dtype=np.int16).T.copy()
+    for g in generate_group(k):
+        image = g.apply(block)
+        assert image.dtype == np.int16 and image.shape == block.shape
+        assert list(zip(*image.tolist())) == [g.apply(t) for t in vectors], (k, g.name)
+
+
+def test_xk_block_is_c_contiguous_int16():
+    for k in (2, 7, 12):
+        block = orbits._xk_block(k)
+        assert block.dtype == np.int16 and block.flags.c_contiguous
+        assert not block.flags.writeable
+
+
+def _decomposition_digest(k):
+    dec = orbit_decompose(k)
+    h = hashlib.sha256()
+    h.update(dec.order.astype("<i8").tobytes())
+    h.update(dec.bounds.astype("<i8").tobytes())
+    fixed = [dec.fixed_points[m.key()] for m in named_composites(k).values()]
+    h.update(repr(fixed).encode())
+    return h.hexdigest()
+
+
+# sha256 of orbit_decompose(k)'s order and bounds (as little-endian int64)
+# and the fixed-point counts of the named elements in named_composites'
+# order, recorded from the ravel_multi_index decomposition; the
+# generator-closure reference above stops at k = 8
+DECOMPOSITION_DIGESTS = {
+    9: "023d9640ab65626c6ecece14383cfd7ebfb246a0783765cab3ea34cd2507849a",
+    10: "7dc4adc6b3166fb63fc319c2435c642db52241c298c3c3d8c0498bb63e19b988",
+    11: "a8907a38cf3c9478ca03a9017274ac530e9568d426569a0045addd11ce93bd5a",
+    12: "19365cf97757bc90ebcf04274b89a2f6c5bf5eaacb410fdbd0dcb5095b807f0b",
+}
+
+
+@pytest.mark.parametrize("k", sorted(DECOMPOSITION_DIGESTS))
+def test_decomposition_matches_the_recorded_digest(k):
+    assert _decomposition_digest(k) == DECOMPOSITION_DIGESTS[k]
 
 
 @pytest.mark.parametrize("k", (0, 1, -3))

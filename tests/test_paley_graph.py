@@ -87,6 +87,22 @@ def test_naive_cap():
         brute_force_K(g, 4, cap=17)
 
 
+def test_the_naive_counts_build_the_adjacency_rows_once(monkeypatch):
+    built = []
+
+    def counting(g):
+        built.append((g.q, g.k))
+        return adjacency_rows(g)
+
+    monkeypatch.setattr(paley_graph, "adjacency_rows", counting)
+    ctx = build_field(61, 1)                     # a fresh field: nothing cached
+    counts = [clique_count(ctx, k, m, "naive").count for k in (2, 3) for m in (3, 4)]
+    assert built == [(61, 2), (61, 3)]
+    assert counts == [clique_count(ctx, k, m).count for k in (2, 3) for m in (3, 4)]
+    assert np.array_equal(ctx._caches["adjacency rows", 2],
+                          adjacency_rows(build_graph(ctx, 2)))
+
+
 def test_count_cliques_complete_graph():
     n = 7
     rows = pack_words(~np.eye(n, dtype=bool))
