@@ -7,10 +7,9 @@ identities connecting them, and reproduces the multicolor Ramsey lower
 bounds that zero counts certify.
 """
 
-from .characters import MultChar, canonical_char, orthogonality_sum, trivial_char
+from .characters import MultChar, canonical_char, trivial_char
 from .cyclotomic import CycInt, cyclotomic_polynomial, zeta_pow
-from .finite_field import (FieldContext, build_field, is_kth_power,
-                           kth_power_residues, split_prime_power,
+from .finite_field import (FieldContext, build_field, split_prime_power,
                            validate_paley_params)
 from .hypergeometric import (check_reduction, check_transformation,
                              f21_scaled, f32_indexed, f32_scaled)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import gcd
 
 from .cyclotomic import CycInt, zeta_pow
-from .errors import OrderNotDividing, ZeroInput
+from .errors import OrderNotDividing
 from .finite_field import FieldContext
 
 
@@ -118,16 +118,3 @@ def canonical_char(ctx: FieldContext, k: int) -> MultChar:
 
 def trivial_char(ctx: FieldContext) -> MultChar:
     return MultChar(ctx, 0)
-
-
-def orthogonality_sum(ctx: FieldContext, k: int, b: int) -> int:
-    """(1/k) sum_t chi_k^t(b): 1 when b is a k-th power, else 0."""
-    if b == 0:
-        raise ZeroInput("orthogonality sum needs b nonzero")
-    chi = canonical_char(ctx, k)
-    total = CycInt.zero(k)
-    for t in range(k):
-        total = total + (chi ** t).eval(b, conductor=k)
-    value = total.as_integer()
-    assert value % k == 0
-    return value // k

@@ -27,9 +27,8 @@ L is the field's one difference table, and it is read-only.  With
 e = ind(-1), 1 - omega^n = omega^(n+e) + 1, and adding 1 changes only the
 constant digit of a packed index.  Every sum and difference is one lookup:
 ind(a - b) = ind a + L(ind b - ind a), and ind(a + b) = ind a +
-L(ind b - ind a + e).  The scalar operations read list copies of the tables
-(``exp_table``, ``log_table``, ``one_minus_table``), which are likewise made
-on first use.  Every run of the same (p, r) produces byte-identical tables.
+L(ind b - ind a + e).  Callers index these int64 tables directly, and dlog
+reads np_log.  Every run of the same (p, r) produces byte-identical tables.
 """
 
 from __future__ import annotations
@@ -229,59 +228,12 @@ class FieldContext:
         table.flags.writeable = False
         return table
 
-    # -- list copies of the tables, for the scalar operations --------------
-
-    @cached_property
-    def exp_table(self) -> list[int]:
-        return self.np_exp.tolist()
-
-    @cached_property
-    def log_table(self) -> list[int]:
-        return self.np_log.tolist()
-
-    @cached_property
-    def one_minus_table(self) -> list[int]:
-        return self.log_one_minus.tolist()
-
-    # -- element arithmetic ------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return a or b
-        # a + b = a (1 - omega^(ind b - ind a + ind(-1)))
-        la, n = self.log_table[a], self.q - 1
-        z = self.one_minus_table[(self.log_table[b] - la + self.log_neg_one) % n]
-        return 0 if z < 0 else self.exp_table[(la + z) % n]
-
-    def neg(self, a: int) -> int:
-        if a == 0:
-            return 0
-        return self.exp_table[(self.log_table[a] + self.log_neg_one) % (self.q - 1)]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroInput("inverse of zero")
-        return self.exp_table[(-self.log_table[a]) % (self.q - 1)]
-
     def dlog(self, a: int) -> int:
         if a == 0:
             raise ZeroInput("discrete log of zero")
         if not 0 < a < self.q:
             raise ValueError(f"{a} is not an element index of GF({self.q})")
-        return self.log_table[a]
-
-    def pow_element(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e > 0 else 1
-        return self.exp_table[(self.log_table[a] * e) % (self.q - 1)]
+        return int(self.np_log[a])
 
     def from_int(self, n: int) -> int:
         """Embed the rational integer n via the prime subfield."""
@@ -466,24 +418,11 @@ def validate_paley_params(k: int, ctx: FieldContext) -> None:
         raise InvalidCongruence(f"q={q} is not 1 mod {modulus} (k={k})")
 
 
-def is_kth_power(ctx: FieldContext, a: int, k: int) -> bool:
-    if a == 0:
-        raise ZeroInput("0 is neither a k-th power nor a non-power here")
-    if (ctx.q - 1) % k != 0:
-        raise ValueError(f"k={k} does not divide q-1={ctx.q - 1}")
-    return ctx.dlog(a) % k == 0
-
-
 def residue_mask(ctx: FieldContext, k: int) -> np.ndarray:
     """Boolean lookup by element index of S_k, the nonzero k-th powers."""
     mask = np.zeros(ctx.q, dtype=bool)
     mask[ctx.powers(k)] = True
     return mask
-
-
-def kth_power_residues(ctx: FieldContext, k: int) -> list[int]:
-    """S_k as a sorted list of element indices."""
-    return np.flatnonzero(residue_mask(ctx, k)).tolist()
 
 
 def split_prime_power(q: int) -> tuple[int, int]:

@@ -45,7 +45,7 @@ from .characters import MultChar, canonical_char, check_order, same_ctx
 from .cyclotomic import CycInt
 from .errors import InexactTransform, ShapeMismatch, SizeLimit
 from .finite_field import BLOCK_ELEMENTS, FieldContext, windows
-from .jacobi import binom_symbol_scaled
+from .jacobi import binom_symbol_scaled, cyclotomic_numbers
 from .orbits import GRID_LIMIT
 
 CONTRACTION_BLOCK = 1 << 16   # float64 cells of spectral products per block
@@ -181,9 +181,9 @@ def residue_histogram(ctx: FieldContext, k: int) -> np.ndarray:
     (a = b) is a class t = k of its own and is dropped.
 
     Beyond the kernel's rounding guard, three exact checks must hold: the
-    sums over t of each (i, s, x, u) total |A_iu| |A_jx|, the sizes of the
-    a-classes counted directly; the m = 0 class holds |A_iu| at x = u and
-    0 elsewhere; and the bins obey the swap law (i, u, j, v, w) <->
+    sums over t of each (i, s, x, u) total |A_iu| |A_jx|, where |A_iu| is
+    the cyclotomic number (i, u)_k; the m = 0 class holds |A_iu| at x = u
+    and 0 elsewhere; and the bins obey the swap law (i, u, j, v, w) <->
     (j, v - e, i, u + e, w + e).  A failure raises InexactTransform and
     caches nothing."""
     check_order(ctx, k)
@@ -195,8 +195,7 @@ def residue_histogram(ctx: FieldContext, k: int) -> np.ndarray:
     e = ctx.log_neg_one % k
     one_minus = ctx.log_one_minus % k          # rho(1 - omega^n); n = 0 unread
     counts = _class_sums(one_minus, k)
-    size = np.bincount(np.arange(1, ctx.q - 1) % k * k + one_minus[1:],
-                       minlength=k * k).reshape(k, k)           # |A_iu|
+    size = cyclotomic_numbers(ctx, k)                            # |A_iu|
     j = (np.arange(k)[:, None] + np.arange(k)) % k               # i + s
     if not np.array_equal(np.einsum("isxtu->isxu", counts),
                           size[j, :, None] * size[:, None, None, :]):

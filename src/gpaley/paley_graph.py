@@ -24,7 +24,7 @@ The K4 routes and the kernels they read:
              over X_k: one int64 product of the histogram with the
              process-wide weight table of k (_orbit_weights), which reads
              X_k and the histogram, not the order-24 group or its orbits;
-             k <= 16, and (q-2)(q-3)|X_k| < 2^63 (checked).
+             k <= 16, and (q-2)(q-3)|X_k| < 2^63 (_xk_fold_fits).
   corollary  k = 2, 3, 4 closed forms from quadratic forms; k = 3, 4 also
              read 3F2 values from the histogram.
 
@@ -53,7 +53,7 @@ instead of rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,11 +92,6 @@ class PaleyGraph:
     @property
     def q(self) -> int:
         return self.ctx.q
-
-    @cached_property
-    def S(self) -> tuple[int, ...]:
-        """The sorted k-th power residues."""
-        return tuple(np.flatnonzero(self.in_S).tolist())
 
 
 def build_graph(ctx: FieldContext, k: int) -> PaleyGraph:
@@ -474,13 +469,19 @@ def _orbit_weights(k: int) -> np.ndarray:
     return weights
 
 
+def _xk_fold_fits(k: int, q: int) -> bool:
+    """(q - 2)(q - 3) |X_k| < 2^63, in exact integers: the bins of
+    residue_histogram total (q - 2)(q - 3) and no weight of _orbit_weights
+    exceeds |X_k|, so xk_orbit_sum's fold stays exact in int64."""
+    return (q - 2) * (q - 3) * xk_closed_form(k) < 2 ** 63
+
+
 def xk_orbit_sum(ctx: FieldContext, k: int) -> int:
     """Sum of q^2 * 3F2(t | 1) over X_k: one fold of residue_histogram
-    through _orbit_weights(k), which reads X_k and not the group.  It is
-    exact in int64 while (q - 2)(q - 3) |X_k| < 2^63, as the bins total
-    (q - 2)(q - 3) and no weight exceeds |X_k|; past that, SizeLimit."""
+    through _orbit_weights(k), which reads X_k and not the group.  Past
+    _xk_fold_fits, where int64 could overflow, SizeLimit."""
     q = ctx.q
-    if (q - 2) * (q - 3) * xk_closed_form(k) >= 2 ** 63:
+    if not _xk_fold_fits(k, q):
         raise SizeLimit(f"the X_k fold overflows int64 at q={q}, k={k}")
     counts = residue_histogram(ctx, k) @ _orbit_weights(k)
     return CycInt.from_zeta_counts(k, counts.tolist()).as_integer()
@@ -544,10 +545,12 @@ ROUTES = {
 
 def routes_for(k: int, m: int, q: int) -> list[str]:
     """The ROUTES methods for K_m(G_k(q)) that apply within their limits:
-    corollary for k = 2, 3, 4, thm1 and thm2 for k^5 <= GRID_LIMIT (k <= 16)
-    and naive for q <= ORACLE_CAP[m]; the others have none."""
+    corollary for k = 2, 3, 4, thm1 for k^5 <= GRID_LIMIT (k <= 16), thm2
+    there too while _xk_fold_fits(k, q), and naive for q <= ORACLE_CAP[m];
+    the others have none."""
     grid = k ** 5 <= GRID_LIMIT
-    applies = {"corollary": k in (2, 3, 4), "thm1": grid, "thm2": grid,
+    applies = {"corollary": k in (2, 3, 4), "thm1": grid,
+               "thm2": grid and _xk_fold_fits(k, q),
                "naive": q <= ORACLE_CAP[m]}
     return [method for order, method in ROUTES
             if order == m and applies.get(method, True)]

@@ -216,7 +216,7 @@ def search_zeros(k: int, m: int, q_max: int, *, jobs: int = 1,
                         partial=error is not None, error=error)
 
 
-def paper_bounds_suite(*, jobs: int = 1) -> dict:
+def paper_bounds_suite() -> dict:
     """Run all ten searches and assert the published bounds and witnesses.
 
     For ranges the source stated explicitly, any extra zero is an error.  For
@@ -230,7 +230,7 @@ def paper_bounds_suite(*, jobs: int = 1) -> dict:
             bound, witness = PAPER_BOUNDS[(m, k)]
             stated = STATED_QMAX.get((m, k))
             q_max = stated if stated is not None else witness + WITNESS_MARGIN
-            rep = search_zeros(k, m, q_max, jobs=jobs)
+            rep = search_zeros(k, m, q_max)
             if rep.partial:
                 raise MismatchAgainstPaper(
                     f"k={k}, m={m}: search aborted ({rep.error})")

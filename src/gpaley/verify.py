@@ -137,9 +137,9 @@ def check_section6_values() -> CheckResult:
 # criterion 4: the Ramsey bound suite
 # ---------------------------------------------------------------------------
 
-def check_ramsey_bounds(jobs: int = 1) -> CheckResult:
+def check_ramsey_bounds() -> CheckResult:
     try:
-        suite = paper_bounds_suite(jobs=jobs)
+        suite = paper_bounds_suite()
     except Exception as exc:   # MismatchAgainstPaper or a per-q failure
         return CheckResult("Ramsey bound suite", False, str(exc))
     detail = f"{len(suite['searches'])} searches"
@@ -302,9 +302,8 @@ def check_quadform_lemmas(q_limit: int = 500) -> CheckResult:
             u = solve_quadform(TWO_TIMES_SQUARE, ctx).a
             chi8 = canonical_char(ctx, 8)
             chi4 = canonical_char(ctx, 4)
-            four = ctx.from_int(4)
-            chi8_4 = chi8.eval(four, conductor=8).as_integer()
-            chi8_m4 = chi8.eval(ctx.neg(four), conductor=8).as_integer()
+            chi8_4 = chi8.eval(ctx.from_int(4), conductor=8).as_integer()
+            chi8_m4 = chi8.eval(ctx.from_int(-4), conductor=8).as_integer()
             j88 = jacobi_sum(chi8, chi8, conductor=8)
             j8_3 = jacobi_sum(chi8, chi8 ** 3, conductor=8)
             j33 = jacobi_sum(chi8 ** 3, chi8 ** 3, conductor=8)
@@ -420,12 +419,13 @@ def check_subgraph_props(q_limit: int = 61, ks=(2, 3, 4, 5, 6),
     for k, q in valid_pairs(q_limit, ks):
         ctx = field_for(q)
         g = build_graph(ctx, k)
-        deg = row_popcounts(subgraph_masks(g, list(g.S)))
+        verts = np.flatnonzero(g.in_S)
+        deg = row_popcounts(subgraph_masks(g, verts))
         h1v = h1_vertices(g)
         deg1 = row_popcounts(subgraph_masks(g, h1v))
         j0 = J0(ctx, k)
         instances += 4
-        if len(g.S) != (q - 1) // k:
+        if len(verts) != (q - 1) // k:
             failures.append(("(a)", k, q))
         if (deg != j0 // (k * k)).any() or j0 % (k * k):
             failures.append(("(b)", k, q))
@@ -457,7 +457,7 @@ def check_clique_recursions(q_limit: int = 200, ks=(2, 3, 4)) -> CheckResult:
     for k, q in valid_pairs(q_limit, ks):
         ctx = field_for(q)
         g = build_graph(ctx, k)
-        h_rows = subgraph_masks(g, list(g.S))
+        h_rows = subgraph_masks(g, np.flatnonzero(g.in_S))
         h1_rows = subgraph_masks(g, h1_vertices(g))
         kg = {m: brute_force_K(g, m).count for m in (3, 4)}
         kh = {m: count_cliques(h_rows, m) for m in (2, 3, 4)}

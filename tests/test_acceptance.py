@@ -30,7 +30,7 @@ def test_criterion_3_section6_intermediates():
 
 
 def test_criterion_4_ramsey_bounds():
-    _assert(verify.check_ramsey_bounds(jobs=4))
+    _assert(verify.check_ramsey_bounds())
 
 
 def test_criterion_5_tables_and_burnside():

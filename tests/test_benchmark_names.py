@@ -1,10 +1,14 @@
-"""The benchmark's per-layer tracer must still find every function it names.
+"""The benchmark's per-layer tracer must still find every function it names,
+and the benchmark's operations must still run.
 
 The tracer skips a name that no longer exists, so a rename inside gpaley
 would silently drop that function's series from the per-layer metrics.
 It wraps module attributes, so work routed around a traced name (a
 private kernel called directly, a bound reference kept elsewhere) would
-move that work's time to the caller's self time.
+move that work's time to the caller's self time.  The operations import
+gpaley names of their own (``ramsey_search.STATED_QMAX``,
+``finite_field.is_prime``, the package itself), so a removal there would
+otherwise show only as a failed benchmark run.
 """
 
 import importlib
@@ -20,9 +24,9 @@ from gpaley.finite_field import build_field
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _tracing():
-    path = os.path.join(ROOT, "perfbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+def _perfbench(name):
+    path = os.path.join(ROOT, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module          # dataclasses look their module up
     spec.loader.exec_module(module)
@@ -30,7 +34,7 @@ def _tracing():
 
 
 def test_every_traced_function_exists():
-    tracing = _tracing()
+    tracing = _perfbench("tracing")
     names = [f"{mod}.{fn}" for mod, fns in tracing.LAYERS.items() for fn in fns]
     names += list(tracing.MEMORY_TRACED) + list(tracing.COUNT_ROUTES)
     names += list(tracing.SEARCH_ROUTE.values())
@@ -101,3 +105,16 @@ def test_search_recounts_past_the_paper_by_both_theorems(monkeypatch, k):
     assert not rep.partial
     assert sorted(ctx.q for ctx, _ in thm1) == sorted(sample)
     assert sorted(ctx.q for ctx, _ in thm2) == sorted(sample)
+
+
+def test_scan_and_large_q_ops_run_and_every_row_is_correct():
+    """make_ops builds every workload at a fixed seed; the scan and large-q
+    ops run here (0.3 s in the suite, 0.6 s alone).  Paper's one op is
+    run_suite("paper"), which test_acceptance and test_verify cover."""
+    workloads = _perfbench("workloads")
+    ops = {w: workloads.make_ops(w, 1) for w in workloads.WORKLOADS}
+    assert [op.rows for op in ops["paper"]] == [workloads.PAPER_CHECKS]
+    for w in ("scan", "large-q"):
+        rows = [row for op in ops[w] for row in op.run()]
+        assert len(rows) == sum(op.rows for op in ops[w]), w
+        assert all(ok for _, ok, _ in rows), [label for label, ok, _ in rows if not ok]

@@ -9,10 +9,10 @@ import pytest
 
 from gpaley import finite_field
 from gpaley.errors import CompositeP, InvalidCongruence, SizeLimit, ZeroInput
-from gpaley.finite_field import (build_field, factorize, is_kth_power,
-                                 is_prime, kth_power_residues,
+from gpaley.finite_field import (build_field, factorize, is_prime,
                                  paley_congruence, prime_powers,
-                                 split_prime_power, validate_paley_params)
+                                 residue_mask, split_prime_power,
+                                 validate_paley_params)
 from helpers import digit_add, get_field, paley_pairs, raw_mul
 
 
@@ -128,84 +128,98 @@ def test_dlog_via_repeated_multiplication():
     assert ctx.dlog(3) == 4
 
 
+def table_power(ctx, a, e):
+    """a^e for a nonzero a, from the exp and log tables."""
+    return int(ctx.np_exp[ctx.np_log[a] * e % (ctx.q - 1)])
+
+
 def test_field_axioms_random():
     rng = random.Random(99)
     for q in (13, 16, 27, 25, 49):
         ctx = get_field(q)
+        modulus = list(ctx.modulus)
+
+        def mul(x, y):
+            return raw_mul(x, y, ctx.p, ctx.r, modulus)
+
         for _ in range(50):
             a = rng.randrange(1, q)
             b = rng.randrange(q)
             c = rng.randrange(q)
-            assert ctx.mul(a, ctx.inv(a)) == 1
-            assert ctx.add(a, ctx.neg(a)) == 0
-            assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
-            assert ctx.pow_element(a, q - 1) == 1
+            assert mul(a, table_power(ctx, a, -1)) == 1
+            neg = int(ctx.np_exp[(ctx.np_log[a] + ctx.log_neg_one) % (q - 1)])
+            assert digit_add(ctx, a, neg) == 0
+            assert mul(a, digit_add(ctx, b, c)) == digit_add(ctx, mul(a, b), mul(a, c))
+            power = 1
+            for e in range(q - 1):
+                assert table_power(ctx, a, e) == power
+                power = mul(power, a)
+            assert power == 1                  # a^(q-1)
 
 
 def test_frobenius_additivity_prime_power():
     for q in (16, 27, 25):
         ctx = get_field(q)
-        p = ctx.p
-        for a in range(q):
-            for b in range(q):
-                lhs = ctx.pow_element(ctx.add(a, b), p)
-                rhs = ctx.add(ctx.pow_element(a, p), ctx.pow_element(b, p))
-                assert lhs == rhs
+        frob = np.zeros(q, dtype=np.int64)     # x -> x^p, 0 at 0
+        frob[1:] = ctx.np_exp[ctx.np_log[1:] * ctx.p % (q - 1)]
+        a, b = np.indices((q, q))
+        assert (frob[digit_add(ctx, a, b)] == digit_add(ctx, frob[a], frob[b])).all()
 
 
 def test_neg_one_prime_field():
-    assert get_field(13).neg(1) == 12
+    ctx = get_field(13)
+    assert ctx.np_exp[ctx.log_neg_one] == ctx.from_int(-1) == 12
 
 
 def test_square_residues_13():
     squares = sorted({a * a % 13 for a in range(1, 13)})
-    ctx = get_field(13)
-    assert kth_power_residues(ctx, 2) == squares == [1, 3, 4, 9, 10, 12]
+    mask = residue_mask(get_field(13), 2)
+    assert np.flatnonzero(mask).tolist() == squares == [1, 3, 4, 9, 10, 12]
     for a in range(1, 13):
-        assert is_kth_power(ctx, a, 2) == (a in squares)
+        assert mask[a] == (a in squares)
 
 
 def test_minus_one_is_kth_power_under_valid_params():
     for k, q in paley_pairs(200):
         ctx = get_field(q)
-        assert is_kth_power(ctx, ctx.neg(1), k)
+        assert residue_mask(ctx, k)[ctx.from_int(-1)]
 
 
 def test_one_is_always_kth_power():
     for k, q in paley_pairs(100):
-        assert is_kth_power(get_field(q), 1, k)
+        assert residue_mask(get_field(q), k)[1]
 
 
 def test_residue_subgroup_size():
     for k, q in paley_pairs(200):
-        assert len(kth_power_residues(get_field(q), k)) == (q - 1) // k
+        assert np.count_nonzero(residue_mask(get_field(q), k)) == (q - 1) // k
+
+
+def assert_exp_log_inverse(ctx):
+    q = ctx.q
+    assert sorted(ctx.np_exp.tolist()) == list(range(1, q))
+    assert ctx.np_log[ctx.np_exp].tolist() == list(range(q - 1))
 
 
 def test_exp_log_roundtrip():
     for q in (13, 16, 17, 25, 27, 49, 61, 81, 121, 127, 128):
-        ctx = get_field(q)
-        assert sorted(ctx.exp_table) == list(range(1, q))
-        for j in range(q - 1):
-            assert ctx.log_table[ctx.exp_table[j]] == j
+        assert_exp_log_inverse(get_field(q))
 
 
 def test_zero_input_errors():
     ctx = get_field(13)
     with pytest.raises(ZeroInput):
-        ctx.inv(0)
-    with pytest.raises(ZeroInput):
         ctx.dlog(0)
-    with pytest.raises(ZeroInput):
-        is_kth_power(ctx, 0, 2)
+    for a in (-1, 13):
+        with pytest.raises(ValueError, match="not an element index"):
+            ctx.dlog(a)
 
 
 def test_alternate_generator_differs_but_consistent():
     for q in (13, 16, 41):
         base, alt = get_field(q), get_field(q, alt=True)
         assert base.primitive_index != alt.primitive_index
-        assert sorted(alt.exp_table) == list(range(1, q))
-        for j in range(q - 1):
-            assert alt.log_table[alt.exp_table[j]] == j
+        assert_exp_log_inverse(alt)
 
 
 def least_generators(p, r):
@@ -331,20 +345,17 @@ def test_is_prime_small():
 @pytest.mark.parametrize("alt", [False, True])
 def test_zech_arithmetic_matches_digit_addition(q, alt):
     ctx = get_field(q, alt=alt)
-    for a in range(q):
-        assert ctx.neg(a) == digit_add(ctx, 0, a, -1)
-        for b in range(q):
-            assert ctx.add(a, b) == digit_add(ctx, a, b)
-            assert ctx.sub(a, b) == digit_add(ctx, a, b, -1)
-    # the array form on every pair of nonzero elements:
-    # ind(a - b) = ind a + L(ind b - ind a), L(0) = -1 at a = b
-    logs = np.array([ctx.log_table[a] for a in range(1, q)])
-    one_minus = ctx.log_one_minus[(logs[None, :] - logs[:, None]) % (q - 1)]
-    diff = (logs[:, None] + one_minus) % (q - 1)
-    for a in range(1, q):
-        for b in range(1, q):
-            d = -1 if one_minus[a - 1, b - 1] < 0 else int(diff[a - 1, b - 1])
-            assert (0 if d < 0 else ctx.exp_table[d]) == digit_add(ctx, a, b, -1)
+    n, e = q - 1, ctx.log_neg_one
+    a = np.arange(1, q)
+    assert ctx.np_exp[(ctx.np_log[a] + e) % n].tolist() == digit_add(ctx, 0, a, -1).tolist()
+    # on every pair of nonzero elements: ind(a - b) = ind a + L(ind b - ind a)
+    # and ind(a + b) = ind a + L(ind b - ind a + e), L = -1 where the result is 0
+    a, b = a[:, None], a[None, :]
+    log_a, log_b = ctx.np_log[a], ctx.np_log[b]
+    for shift, sign in ((0, -1), (e, 1)):
+        z = ctx.log_one_minus[(log_b - log_a + shift) % n]
+        got = np.where(z < 0, 0, ctx.np_exp[(log_a + z) % n])
+        assert np.array_equal(got, digit_add(ctx, a, b, sign)), sign
 
 
 @pytest.mark.parametrize("p, r", [(2, 14), (3, 8), (7, 5), (257, 2)])
@@ -353,8 +364,8 @@ def test_doubled_exp_table_matches_sequential_recurrence(p, r):
     assert ctx.q - 1 > 1 << 12              # more than twelve doublings
     modulus = list(ctx.modulus)
     x = 1
-    for j in range(ctx.q - 1):
-        assert ctx.exp_table[j] == x
+    for j, y in enumerate(ctx.np_exp.tolist()):
+        assert y == x, j
         x = raw_mul(x, ctx.primitive_index, p, r, modulus)
     assert x == 1
 
@@ -362,9 +373,9 @@ def test_doubled_exp_table_matches_sequential_recurrence(p, r):
 def test_zech_table_definition():
     for q in (2, 3, 16, 27, 49):
         ctx = get_field(q)
-        for n in range(q - 1):
-            total = digit_add(ctx, 1, ctx.exp_table[n], -1)
-            assert ctx.one_minus_table[n] == (-1 if total == 0 else ctx.log_table[total])
+        total = digit_add(ctx, 1, ctx.np_exp, -1)
+        expect = np.where(total == 0, -1, ctx.np_log[total])
+        assert ctx.log_one_minus.tolist() == expect.tolist()
 
 
 def _build_digest(p, r, alt):

@@ -22,7 +22,7 @@ from gpaley.jacobi import solve_quadform
 from gpaley.ramsey_search import admissible_q
 from gpaley.verify import (check_exact_vs_numeric, check_orbit_invariance,
                            check_reductions, check_transformations)
-from helpers import digit_add, get_field, paley_pairs
+from helpers import digit_add, get_field, paley_pairs, raw_mul
 
 
 def test_f21_trivial_parameters():
@@ -91,7 +91,8 @@ def test_residue_histogram_matches_scalar_double_loop():
                     if a == b:
                         continue
                     idx = 0
-                    for x in (a, ctx.sub(1, a), b, ctx.sub(b, 1), ctx.sub(a, b)):
+                    for x in (a, digit_add(ctx, 1, a, -1), b,
+                              digit_add(ctx, b, 1, -1), digit_add(ctx, a, b, -1)):
                         idx = idx * k + ctx.dlog(x) % k
                     expect[idx] += 1
             assert residue_histogram(ctx, k).tolist() == expect, (q, k)
@@ -316,9 +317,12 @@ def _f32_double_loop(A, B, C, D, E, lam):
     x = [ch.exponent_in(c) for ch in
          (A * E.conj(), C.conj() * E, B, B.conj() * D, A.conj())]
     counts = [0] * c
+    modulus = list(ctx.modulus)
     for a in range(1, ctx.q):
         for b in range(1, ctx.q):
-            args = (a, ctx.sub(1, a), b, ctx.sub(b, 1), ctx.sub(a, ctx.mul(lam, b)))
+            lam_b = raw_mul(lam, b, ctx.p, ctx.r, modulus)
+            args = (a, digit_add(ctx, 1, a, -1), b, digit_add(ctx, b, 1, -1),
+                    digit_add(ctx, a, lam_b, -1))
             if 0 not in args:
                 counts[sum(xi * ctx.dlog(y) for xi, y in zip(x, args)) % c] += 1
     return CycInt.from_zeta_counts(c, counts)

@@ -36,7 +36,7 @@ from helpers import digit_add, get_field, paley_pairs
 
 def test_h_vertices_q13():
     g = build_graph(get_field(13), 2)
-    verts = list(g.S)
+    verts = np.flatnonzero(g.in_S).tolist()
     assert verts == [1, 3, 4, 9, 10, 12]
     assert len(verts) == (13 - 1) // 2
     deg = row_popcounts(subgraph_masks(g, verts))
@@ -47,7 +47,7 @@ def test_h1_vertices_q13():
     g = build_graph(get_field(13), 2)
     assert h1_vertices(g) == [4, 10]
     edges = int(row_popcounts(subgraph_masks(g, h1_vertices(g))).sum()) // 2
-    assert edges == (1 if g.in_S[g.ctx.sub(10, 4)] else 0)
+    assert edges == (1 if g.in_S[digit_add(g.ctx, 10, 4, -1)] else 0)
 
 
 def test_edge_count_G17():
@@ -350,7 +350,19 @@ def test_k4_thm2_refuses_an_overflowing_fold_before_any_work(monkeypatch):
     ctx = build_field(4085761, 1)          # past FIRST_REFUSED_Q[16]
     with pytest.raises(SizeLimit):
         K4_thm2(ctx, 16)
-    assert ("f32hist", 16) not in ctx._caches
+    assert not ctx._caches and not ctx._powers
+    assert not any(name in vars(ctx) for name in ("np_exp", "np_log", "log_one_minus"))
+
+
+def test_routes_for_lists_thm2_exactly_where_the_fold_fits():
+    """At k = 16, 4085633 is the last admissible q inside the X_k fold's
+    int64 bound and 4085761 the first past it (FIRST_REFUSED_Q[16] is not
+    admissible).  routes_for offers thm2 at the first and not the second,
+    so a search never picks a route that would raise."""
+    assert admissible_q(16, 4085761)[-2:] == [4085633, 4085761]
+    assert 4085633 < FIRST_REFUSED_Q[16] < 4085761
+    assert routes_for(16, 4, 4085633) == ["subgraph", "thm2", "thm1"]
+    assert routes_for(16, 4, 4085761) == ["subgraph", "thm1"]
 
 
 def test_k4_thm2_reads_one_weight_table_and_no_indexed_3f2(monkeypatch):
@@ -401,7 +413,7 @@ def test_clique_count_dispatch():
         clique_count(ctx, 2, 5)
 
 
-@pytest.mark.parametrize("k", [*range(2, 10), 16, 17])
+@pytest.mark.parametrize("k", range(2, 18))
 def test_routes_for_limits(k):
     thm = ["thm2", "thm1"] if k <= 16 else []
     corollary = ["corollary"] if k <= 4 else []
@@ -468,9 +480,9 @@ def test_K4_gf3_10_k2():
 
 
 def assert_edge_counts_match_scalar_enumeration(g):
-    for verts, count in ((list(g.S), h_edge_count(g)),
+    for verts, count in ((np.flatnonzero(g.in_S).tolist(), h_edge_count(g)),
                          (h1_vertices(g), h1_edge_count(g))):
-        edges = sum(g.in_S[g.ctx.sub(a, b)]
+        edges = sum(g.in_S[digit_add(g.ctx, a, b, -1)]
                     for i, a in enumerate(verts) for b in verts[i + 1:])
         assert type(count) is int and count == edges, (g.k, g.q)
 
@@ -517,22 +529,17 @@ def test_edge_kernel_byte_lookup_popcount(n, monkeypatch):
 
 
 def test_subgraph_count_leaves_the_list_tables_unbuilt():
-    unbuilt = ("exp_table", "log_table", "one_minus_table", "np_exp", "np_log",
-               "log_one_minus")
+    unbuilt = ("np_exp", "np_log", "log_one_minus")
     for (p, r, k), m in itertools.product(
             ((457, 1, 4), (3457, 1, 6), (3, 4, 4), (2, 6, 3)), (3, 4)):
         ctx = build_field(p, r)
         count = clique_count(ctx, k, m).count
         assert not any(name in vars(ctx) for name in unbuilt), (p, r, k, m)
-        assert "S" not in vars(build_graph(ctx, k))
-        ctx.add(1, 1)                            # a scalar op builds them
-        assert [getattr(ctx, name) for name in unbuilt[:3]] == [
-            ctx.np_exp.tolist(), ctx.np_log.tolist(), ctx.log_one_minus.tolist()]
         # the subgraph count reads neither the exp, the log nor the
         # difference table
         shuffled = build_field(p, r)
         rng = np.random.default_rng(ctx.q)
-        for name in unbuilt[3:]:
+        for name in unbuilt:
             shuffled.__dict__[name] = rng.permutation(getattr(ctx, name))
         assert not np.array_equal(shuffled.np_log, ctx.np_log), (p, r, k)
         assert clique_count(shuffled, k, m).count == count, (p, r, k, m)
