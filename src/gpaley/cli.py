@@ -18,8 +18,7 @@ import sys
 from .errors import GPaleyError
 from .finite_field import DEFAULT_SIZE_LIMIT, build_field, split_prime_power
 from .hypergeometric import f32_indexed
-from .jacobi import (EISENSTEIN, J0, JJ0, TWO_SQUARES, TWO_TIMES_SQUARE, R_k,
-                     S_k, solve_quadform)
+from .jacobi import J0, JJ0, QUAD_FORMS, R_k, S_k, solve_quadform
 from .orbits import tables_json
 from .paley_graph import ROUTES, brute_force_K, build_graph, clique_count
 from .ramsey_search import CACHE_ENV, search_zeros
@@ -75,8 +74,8 @@ def cmd_jacobi(args) -> int:
         "JJ0": str(JJ0(ctx, args.k)),
         "quadforms": {},
     }
-    for kind, cond in ((TWO_SQUARES, 4), (EISENSTEIN, 3), (TWO_TIMES_SQUARE, 8)):
-        if args.q % cond == 1:
+    for kind, form in QUAD_FORMS.items():
+        if args.q % form.modulus == 1:
             out["quadforms"][kind] = solve_quadform(kind, ctx).to_json()
     emit(out, args.format)
     return 0

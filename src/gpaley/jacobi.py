@@ -12,8 +12,10 @@ Amer. J. Math. 57, 1935; Berndt, Evans & Williams, Gauss and Jacobi Sums,
 ch. 2).  They are rational integers by conjugation symmetry of their index
 sets, and as_integer enforces that instead of trusting it.
 
-The quadratic-form solvers normalize q = x^2 + y^2, 4q = c^2 + 3d^2 and
-q = u^2 + 2v^2 exactly as the Jacobi-sum evaluations require.
+The k = 2, 3, 4 corollaries read x, c and u from the representations
+q = x^2 + y^2, 4q = c^2 + 3d^2 and q = u^2 + 2v^2, normalized as the
+Jacobi-sum evaluations require.  QUAD_FORMS holds the three forms as rows of
+one table, and solve_quadform is one search that reads a row.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .characters import MultChar, check_order, same_ctx
 from .cyclotomic import CycInt
 from .errors import NoRepresentation
-from .finite_field import FieldContext
+from .finite_field import FieldContext, row_blocks
 
 
 def jacobi_sum(A: MultChar, B: MultChar, conductor: int | None = None) -> CycInt:
@@ -56,14 +58,19 @@ def cyclotomic_numbers(ctx: FieldContext, k: int) -> np.ndarray:
 
 def jacobi_table(ctx: FieldContext, k: int) -> tuple[tuple[CycInt, ...], ...]:
     """J[s][t] = J(chi_k^s, chi_k^t) = sum of (i, j)_k zeta^(si + tj), for
-    s, t in [0, k).  Row -s is J[-s], by Python's negative indexing.  Built
-    once per field and order, and kept in ctx._caches."""
+    s, t in [0, k).  Row -s is J[-s], by Python's negative indexing.  The
+    exponent counts gather over row blocks of s, so no intermediate holds
+    more than BLOCK_ELEMENTS cells (k <= 32 is one block).  Built once per
+    field and order, and kept in ctx._caches."""
     key = ("jacobi", k)
     if key not in ctx._caches:
         cyc = cyclotomic_numbers(ctx, k)
-        s, t, i, j = np.indices((k,) * 4)
+        i, j = np.indices((k, k))
+        t = np.arange(k)[:, None, None]
         counts = np.zeros((k, k, k), dtype=np.int64)
-        np.add.at(counts, (s, t, (s * i + t * j) % k), cyc[i, j])
+        for rows in row_blocks(k, k ** 3):
+            s = np.arange(k)[rows, None, None, None]
+            np.add.at(counts, (s, t, (s * i + t * j) % k), cyc)
         ctx._caches[key] = tuple(tuple(CycInt.from_zeta_counts(k, row.tolist())
                                        for row in plane) for plane in counts)
     return ctx._caches[key]
@@ -106,6 +113,32 @@ TWO_TIMES_SQUARE = "TwoTimesSquare"
 
 
 @dataclass(frozen=True)
+class QuadForm:
+    """n q = a^2 + w b^2, for q = 1 (mod modulus).  Of a and -a the
+    normalization keeps the one that is a_residue (mod a_modulus); b >= 0 is
+    a multiple of b_divisor.  p splits in the form's ring when p mod modulus
+    is in split.  At an inert prime b = 0, and a = inert_a (-p)^(r/2) where
+    inert_a is given."""
+    names: tuple[str, str]      # the paper's letters for a and b
+    scale: int                  # n
+    weight: int                 # w
+    modulus: int
+    a_residue: int
+    a_modulus: int
+    b_divisor: int
+    split: tuple[int, ...]
+    inert_a: int | None
+
+
+# names, n, w, modulus, a_residue, a_modulus, b_divisor, split, inert_a
+QUAD_FORMS = {
+    TWO_SQUARES:      QuadForm(("x", "y"), 1, 1, 4, 1, 4, 2, (1,), 1),
+    EISENSTEIN:       QuadForm(("c", "d"), 4, 3, 3, 1, 3, 3, (1,), -2),
+    TWO_TIMES_SQUARE: QuadForm(("u", "v"), 1, 2, 8, 3, 4, 1, (1, 3), None),
+}
+
+
+@dataclass(frozen=True)
 class QuadFormRep:
     kind: str
     q: int
@@ -114,83 +147,41 @@ class QuadFormRep:
     inert: bool     # True when the prime is inert and b = 0 is forced
 
     def to_json(self) -> dict:
-        names = {TWO_SQUARES: ("x", "y"), EISENSTEIN: ("c", "d"),
-                 TWO_TIMES_SQUARE: ("u", "v")}[self.kind]
+        names = QUAD_FORMS[self.kind].names
         return {"kind": self.kind, names[0]: self.a, names[1]: self.b}
 
 
-def _unique(candidates: list[tuple[int, int]], kind: str, q: int) -> tuple[int, int]:
-    dedup = sorted(set(candidates))
-    if not dedup:
-        raise NoRepresentation(f"{kind}: no normalized solution for q={q}")
-    assert len(dedup) == 1, f"{kind}: normalization not unique for q={q}: {dedup}"
-    return dedup[0]
-
-
 def solve_quadform(kind: str, ctx: FieldContext) -> QuadFormRep:
-    """Exhaustive search (q is small here) for the unique normalized
-    representation used by the order-3/4/8 Jacobi-sum evaluations."""
+    """The unique normalized representation of q by QUAD_FORMS[kind], read
+    by the order-3/4/8 Jacobi-sum evaluations.  One exhaustive search over
+    |a| <= sqrt(n q) (q is small here); on a split prime it also requires
+    p not dividing a.  NoRepresentation when q misses the form's congruence.
+    A second normalized solution, or an inert prime with b != 0 or a off
+    its forced value, breaks the evaluations' premise and raises
+    AssertionError."""
+    form = QUAD_FORMS.get(kind)
+    if form is None:
+        raise ValueError(f"unknown quadratic form kind {kind!r}")
     p, r, q = ctx.p, ctx.r, ctx.q
-
-    if kind == TWO_SQUARES:
-        # q = x^2 + y^2, x = 1 mod 4, y even, p not dividing x when p = 1 mod 4
-        if q % 4 != 1:
-            raise NoRepresentation(f"q={q} is not 1 mod 4")
-        split = p % 4 == 1
-        found = []
-        for ax in range(1, isqrt(q) + 1, 2):
-            y2 = q - ax * ax
-            y = isqrt(y2)
-            if y * y != y2 or y % 2 != 0:
-                continue
-            if split and ax % p == 0:
-                continue
-            x = ax if ax % 4 == 1 else -ax
-            found.append((x, y))
-        x, y = _unique(found, kind, q)
-        return QuadFormRep(TWO_SQUARES, q, x, y, inert=not split)
-
-    if kind == EISENSTEIN:
-        # 4q = c^2 + 3d^2, c = 1 mod 3, d = 0 mod 3, p not dividing c (split p)
-        if q % 3 != 1:
-            raise NoRepresentation(f"q={q} is not 1 mod 3")
-        split = p % 3 == 1
-        found = []
-        for ac in range(1, isqrt(4 * q) + 1):
-            rest = 4 * q - ac * ac
-            if rest % 3 != 0:
-                continue
-            d2, d = rest // 3, isqrt(rest // 3)
-            if d * d != d2 or d % 3 != 0:
-                continue
-            if split and ac % p == 0:
-                continue
-            for c in (ac, -ac):
-                if c % 3 == 1:
-                    found.append((c, d))
-        c, d = _unique(found, kind, q)
-        if not split:
-            assert c == -2 * (-p) ** (r // 2) and d == 0
-        return QuadFormRep(EISENSTEIN, q, c, d, inert=not split)
-
-    if kind == TWO_TIMES_SQUARE:
-        # q = u^2 + 2v^2, u = 3 mod 4, p not dividing u when p = 1,3 mod 8
-        if q % 8 != 1:
-            raise NoRepresentation(f"q={q} is not 1 mod 8")
-        split = p % 8 in (1, 3)
-        found = []
-        for au in range(1, isqrt(q) + 1, 2):
-            rest = q - au * au
-            if rest % 2 != 0:
-                continue
-            v2, v = rest // 2, isqrt(rest // 2)
-            if v * v != v2:
-                continue
-            if split and au % p == 0:
-                continue
-            u = au if au % 4 == 3 else -au
-            found.append((u, v))
-        u, v = _unique(found, kind, q)
-        return QuadFormRep(TWO_TIMES_SQUARE, q, u, v, inert=not split)
-
-    raise ValueError(f"unknown quadratic form kind {kind!r}")
+    if q % form.modulus != 1:
+        raise NoRepresentation(f"q={q} is not 1 mod {form.modulus}")
+    split = p % form.modulus in form.split
+    nq, found = form.scale * q, []
+    for n in range(1, isqrt(nq) + 1):
+        a = n if n % form.a_modulus == form.a_residue else -n
+        if a % form.a_modulus != form.a_residue or (split and n % p == 0):
+            continue
+        b2, rem = divmod(nq - n * n, form.weight)
+        b = isqrt(b2)
+        if rem == 0 and b * b == b2 and b % form.b_divisor == 0:
+            found.append((a, b))
+    if not found:
+        raise NoRepresentation(f"{kind}: no normalized solution for q={q}")
+    if len(found) > 1:
+        raise AssertionError(f"{kind}: normalization not unique for q={q}: {found}")
+    ((a, b),) = found
+    if not split and (b != 0 or form.inert_a is not None
+                      and a != form.inert_a * (-p) ** (r // 2)):
+        raise AssertionError(f"{kind}: q={q} is a power of the inert prime {p}, "
+                             f"but a={a}, b={b}")
+    return QuadFormRep(kind, q, a, b, inert=not split)

@@ -503,7 +503,7 @@ def check_strong_regularity(q_limit: int = 101) -> CheckResult:
 # criterion 7: determinism
 # ---------------------------------------------------------------------------
 
-def check_determinism(jobs: int = 2) -> CheckResult:
+def check_determinism() -> CheckResult:
     failures = []
     for k, q in ((2, 13), (3, 13), (3, 16), (4, 17), (5, 41)):
         base = field_for(q)
@@ -521,7 +521,7 @@ def check_determinism(jobs: int = 2) -> CheckResult:
         failures.extend((name, k, q) for name, a, b in pairs if a != b)
 
     rep1 = search_zeros(3, 4, 230, jobs=1)
-    rep2 = search_zeros(3, 4, 230, jobs=jobs)
+    rep2 = search_zeros(3, 4, 230, jobs=2)
     if [(r.q, r.count) for r in rep1.records] != [(r.q, r.count) for r in rep2.records]:
         failures.append("thread count changed search results")
     rep3 = search_zeros(3, 4, 230, jobs=1)
@@ -534,7 +534,7 @@ def check_determinism(jobs: int = 2) -> CheckResult:
 # suite runners
 # ---------------------------------------------------------------------------
 
-def _suite_calls(profile: str, jobs: int, seed: int) -> list[partial]:
+def _suite_calls(profile: str, seed: int) -> list[partial]:
     """The profile's check calls, in output order."""
     quick = profile == "quick"
     calls = [
@@ -555,11 +555,11 @@ def _suite_calls(profile: str, jobs: int, seed: int) -> list[partial]:
     ]
     if not quick:
         calls += [partial(check_ramsey_bounds),
-                  partial(check_determinism, jobs=max(jobs, 2))]
+                  partial(check_determinism)]
     return calls
 
 
-def _suite_tasks(profile: str, jobs: int, seed: int) -> list[tuple[int, ...]]:
+def _suite_tasks(profile: str, seed: int) -> list[tuple[int, ...]]:
     """run_suite's worker tasks, heaviest first.  A task is a tuple of
     positions in _suite_calls' list, run in that order by one process.
 
@@ -583,7 +583,7 @@ def _suite_tasks(profile: str, jobs: int, seed: int) -> list[tuple[int, ...]]:
     )
     rank = {name: i for i, group in enumerate(heaviest_first) for name in group}
     tasks: dict[int, tuple[int, ...]] = {}
-    for pos, call in enumerate(_suite_calls(profile, jobs, seed)):
+    for pos, call in enumerate(_suite_calls(profile, seed)):
         key = rank.get(call.func.__name__, len(heaviest_first) + pos)
         tasks[key] = tasks.get(key, ()) + (pos,)
     return [tasks[key] for key in sorted(tasks)]
@@ -601,9 +601,9 @@ def _timed(call: partial) -> list[CheckResult]:
     return results
 
 
-def _run_task(profile: str, jobs: int, seed: int,
+def _run_task(profile: str, seed: int,
               task: tuple[int, ...]) -> list[tuple[int, list[CheckResult]]]:
-    calls = _suite_calls(profile, jobs, seed)
+    calls = _suite_calls(profile, seed)
     return [(pos, _timed(calls[pos])) for pos in task]
 
 
@@ -617,21 +617,21 @@ def run_suite(profile: str = "quick", jobs: int | None = None,
     process pool (the default start method, as search_zeros uses).  Either
     way check_ramsey_bounds runs its ten searches serially, and only
     check_determinism opens a pool of its own, to compare a serial search
-    with a max(jobs, 2)-process one.  The results come back in the same
-    order either way, each with the seconds its check took in the process
-    that ran it.  If a check raises, the pending tasks are cancelled, the
-    workers are joined, and the exception propagates.
+    with a 2-process one.  The results come back in the same order either
+    way, each with the seconds its check took in the process that ran it.
+    If a check raises, the pending tasks are cancelled, the workers are
+    joined, and the exception propagates.
     """
     if jobs is None:
         jobs = len(os.sched_getaffinity(0))
     if jobs < 1:
         raise ValueError(f"jobs={jobs} must be at least 1")
     if jobs == 1:
-        return [res for call in _suite_calls(profile, jobs, seed) for res in _timed(call)]
-    tasks = _suite_tasks(profile, jobs, seed)
+        return [res for call in _suite_calls(profile, seed) for res in _timed(call)]
+    tasks = _suite_tasks(profile, seed)
     pool = ProcessPoolExecutor(min(jobs, len(tasks)))
     try:
-        futures = [pool.submit(_run_task, profile, jobs, seed, task) for task in tasks]
+        futures = [pool.submit(_run_task, profile, seed, task) for task in tasks]
         by_position = dict(pair for fut in futures for pair in fut.result())
     finally:
         pool.shutdown(cancel_futures=True)

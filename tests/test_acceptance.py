@@ -51,4 +51,4 @@ def test_criterion_6_identity_suites():
 
 
 def test_criterion_7_determinism():
-    _assert(verify.check_determinism(jobs=2))
+    _assert(verify.check_determinism())

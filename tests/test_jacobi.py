@@ -1,18 +1,25 @@
 """Jacobi sums, their aggregates, and the quadratic-form normalizations."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
 from gpaley.characters import MultChar, canonical_char, trivial_char
 from gpaley.cyclotomic import CycInt
 from gpaley.errors import NoRepresentation, NotRational
-from gpaley.finite_field import build_field, split_prime_power
+from gpaley.finite_field import build_field, prime_powers, split_prime_power
 from gpaley.hypergeometric import f21_scaled
-from gpaley.jacobi import (EISENSTEIN, J0, JJ0, TWO_SQUARES, TWO_TIMES_SQUARE,
-                           R_k, S_k, binom_symbol_scaled, cyclotomic_numbers,
-                           jacobi_sum, jacobi_table, solve_quadform)
+from gpaley.jacobi import (EISENSTEIN, J0, JJ0, QUAD_FORMS, TWO_SQUARES,
+                           TWO_TIMES_SQUARE, R_k, S_k, binom_symbol_scaled,
+                           cyclotomic_numbers, jacobi_sum, jacobi_table,
+                           solve_quadform)
 from gpaley.verify import check_aggregate_identities, check_quadform_lemmas
 from helpers import digit_add, get_field, paley_pairs
 
@@ -179,6 +186,26 @@ def test_jacobi_table_matches_jacobi_sum():
                     assert table[s][t] == jacobi_sum(chi ** s, chi ** t, conductor=k), (q, k, s, t)
 
 
+JACOBI_TABLE_PEAK_BUDGET_MB = 64
+
+
+def test_jacobi_table_at_k_60_is_blocked_and_matches_jacobi_sum():
+    # one unblocked index grid at k = 60 is 4 k^4 int64 cells, about 400 MiB
+    ctx = build_field(241, 1)
+    cyclotomic_numbers(ctx, 60)                 # build L outside the trace
+    tracemalloc.start()
+    try:
+        table = jacobi_table(ctx, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < JACOBI_TABLE_PEAK_BUDGET_MB * 2 ** 20, peak
+    chi = canonical_char(ctx, 60)
+    for s, t in [(0, 0), (1, 1), (1, 59), (7, 30), (59, 59)] + [
+            (s, (5 * s + 11) % 60) for s in range(0, 60, 13)]:
+        assert table[s][t] == jacobi_sum(chi ** s, chi ** t, conductor=60), (s, t)
+
+
 def test_J0_and_JJ0_by_orthogonality():
     """Summing zeta^(si + tj) over all s, t keeps only (0, 0)_k, so
     J0 = k^2 (0,0)_k and JJ0 = k^3 sum_i (i,0)_k^2."""
@@ -286,6 +313,58 @@ def test_quadform_preconditions():
         solve_quadform(EISENSTEIN, get_field(5))
     with pytest.raises(NoRepresentation):
         solve_quadform(TWO_TIMES_SQUARE, get_field(13))
+
+
+# sha256 of "kind q a b inert" lines for every prime power q <= 10^5 and
+# every form whose congruence q meets, from the three-branch solver
+QUADFORM_DIGEST = (12193, "9048472334c7bb924a9a415b597e11d9"
+                          "f8199ae9744541ff6a9528ebfcc9b8b5")
+
+
+def test_every_quadform_to_100000_matches_the_recorded_digest():
+    h, n = hashlib.sha256(), 0
+    for q in prime_powers(10 ** 5):
+        ctx = build_field(*split_prime_power(q))
+        for kind, form in QUAD_FORMS.items():
+            if q % form.modulus == 1:
+                rep = solve_quadform(kind, ctx)
+                h.update(f"{kind} {rep.q} {rep.a} {rep.b} {int(rep.inert)}\n".encode())
+                n += 1
+    assert (n, h.hexdigest()) == QUADFORM_DIGEST
+
+
+STUBBED_ROWS = """
+import dataclasses
+from gpaley import jacobi
+from gpaley.finite_field import build_field
+
+def raises(kind, row, q):
+    jacobi.QUAD_FORMS[kind] = row
+    try:
+        jacobi.solve_quadform(kind, build_field(q, 1))
+    except AssertionError as exc:
+        return str(exc)
+    return "no raise"
+
+forms = dict(jacobi.QUAD_FORMS)
+# with no normalization left, 13 = 2^2 + 3^2 = 3^2 + 2^2
+loose = dataclasses.replace(forms["TwoSquares"], a_residue=0, a_modulus=1, b_divisor=1)
+print(raises("TwoSquares", loose, 13))
+# 5 stubbed as inert for x^2 + y^2: its solution has b = 2, not the forced 0
+print(raises("TwoSquares", dataclasses.replace(forms["TwoSquares"], split=(3,)), 5))
+"""
+
+
+def test_stubbed_rows_that_break_the_normalization_raise_under_python_O():
+    # -O strips assert statements, so the raises must be explicit
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", STUBBED_ROWS],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "TwoSquares: normalization not unique for q=13: [(2, 3), (3, 2)]",
+        "TwoSquares: q=5 is a power of the inert prime 5, but a=1, b=2"]
 
 
 def test_not_rational_guard():

@@ -528,7 +528,7 @@ def test_edge_kernel_byte_lookup_popcount(n, monkeypatch):
     assert_edge_counts_match_scalar_enumeration(build_graph(get_field(81), 4))
 
 
-def test_subgraph_count_leaves_the_list_tables_unbuilt():
+def test_subgraph_count_leaves_the_exp_log_and_difference_tables_unbuilt():
     unbuilt = ("np_exp", "np_log", "log_one_minus")
     for (p, r, k), m in itertools.product(
             ((457, 1, 4), (3457, 1, 6), (3, 4, 4), (2, 6, 3)), (3, 4)):

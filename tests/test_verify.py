@@ -40,8 +40,8 @@ def test_a_check_that_raises_in_a_worker_raises_here_and_leaves_no_child(monkeyp
 
 
 def test_the_cross_method_and_clique_checks_share_one_task_in_suite_order():
-    calls = verify._suite_calls("paper", 2, verify.IDENTITY_SEED)
-    tasks = verify._suite_tasks("paper", 2, verify.IDENTITY_SEED)
+    calls = verify._suite_calls("paper", verify.IDENTITY_SEED)
+    tasks = verify._suite_tasks("paper", verify.IDENTITY_SEED)
     names = [[calls[pos].func.__name__ for pos in task] for task in tasks]
     assert names[0] == ["check_cross_method_equality", "check_clique_recursions"]
     assert sorted(pos for task in tasks for pos in task) == list(range(len(calls)))
@@ -54,8 +54,8 @@ def test_checks_the_order_does_not_name_still_run(monkeypatch):
 
     monkeypatch.setattr(verify, "check_paper_zeros", renamed)
     monkeypatch.setattr(verify, "check_strong_regularity", renamed)
-    calls = verify._suite_calls("quick", 2, verify.IDENTITY_SEED)
-    tasks = verify._suite_tasks("quick", 2, verify.IDENTITY_SEED)
+    calls = verify._suite_calls("quick", verify.IDENTITY_SEED)
+    tasks = verify._suite_tasks("quick", verify.IDENTITY_SEED)
     assert tasks[-2:] == [(1,), (len(calls) - 1,)]
     assert sorted(pos for task in tasks for pos in task) == list(range(len(calls)))
 
